@@ -11,7 +11,8 @@ below convergence_tol or max_outer_iters is reached.
 
 Two initialization strategies are provided: separate per-slice recovery, and
 joint Kronecker recovery (block-diagonal sensing operator with a separable
-sparsity basis spanning all slices).
+sparsity basis spanning all slices).  Both, and every outer iteration, solve
+on the same per-slice sensing matrices, drawn once per reconstruction.
 """
 
 import time
@@ -40,6 +41,10 @@ DEFAULT_SWEEP_SOLVER = SolveConfig(
 
 DEFAULT_KCS_MAX_UNKNOWNS = 1 << 18
 
+# a reconstruction keeps its whole stack of sensing matrices when it fits in
+# this many bytes; larger stacks are redrawn chunk by chunk on every sweep
+MATRIX_CACHE_BYTES = 1 << 28
+
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -49,8 +54,6 @@ class ReconConfig:
     convergence_tol: float = 1e-4
     solver: SolveConfig = DEFAULT_SWEEP_SOLVER
     iterate_axis: str = AXIS_BANDS
-    gauss_seidel: bool = False
-    matrix_cache_bytes: int = 1 << 28
     kcs_max_unknowns: int = DEFAULT_KCS_MAX_UNKNOWNS
 
     def __post_init__(self):
@@ -111,11 +114,10 @@ class _PhiProvider:
             return self._full[start:stop]
         return sensing.draw_sensing_stack(self.ensemble, start, stop)
 
-    def chunk_length(self, max_bytes: int = 1 << 27) -> int:
+    def chunk_length(self) -> int:
         if self._full is not None:
             return self.ensemble.num_slices
-        per_slice = self.ensemble.m * self.ensemble.n * 8
-        return max(1, min(self.ensemble.num_slices, max_bytes // per_slice))
+        return sensing.chunk_length(self.ensemble)
 
 
 # --- slice bases -----------------------------------------------------------------
@@ -192,18 +194,19 @@ def init_separate(
     ms: MeasurementSet,
     basis: SparsityBasis | None = None,
     solver_cfg: SolveConfig | None = None,
-    cache_max_bytes: int = 1 << 28,
+    provider: _PhiProvider | None = None,
 ):
     """Recover every slice independently by l1 minimization.
 
-    Returns (signal container, list of slice indices that failed to converge;
-    those keep their best iterates).
+    provider hands out the sensing matrices (a reconstruction passes its own;
+    one is built when None).  Returns (signal container, list of slice
+    indices that failed to converge; those keep their best iterates).
     """
     basis = basis or slice_basis_for(ms)
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
     if basis.size != ms.ensemble.n:
         raise ValueError(f"basis size {basis.size} does not match slice length {ms.ensemble.n}")
-    provider = _PhiProvider(ms.ensemble, cache_max_bytes)
+    provider = provider or _PhiProvider(ms.ensemble, MATRIX_CACHE_BYTES)
     zero = np.zeros(ms.signal_shape)
     signal, warnings = _residual_sweep(ms, basis, solver_cfg, zero, provider)
     return _container(signal, ms.layout), warnings
@@ -214,12 +217,13 @@ def init_kcs(
     basis: SparsityBasis | None = None,
     solver_cfg: SolveConfig | None = None,
     max_unknowns: int = DEFAULT_KCS_MAX_UNKNOWNS,
-    cache_max_bytes: int = 1 << 28,
+    provider: _PhiProvider | None = None,
 ):
     """Joint recovery of all slices through the block-diagonal sensing operator.
 
     basis is the joint separable basis (defaults to DCT factors on every
-    axis); solves a single stacked l1 problem and reshapes the result.
+    axis); solves a single stacked l1 problem on the whole stack of sensing
+    matrices and reshapes the result.  provider is as in init_separate.
     Returns (signal container, converged flag).
     """
     ens = ms.ensemble
@@ -233,24 +237,24 @@ def init_kcs(
     if basis.size != unknowns:
         raise ValueError(f"joint basis size {basis.size} does not match {unknowns} unknowns")
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
-    op = sensing.BlockDiagOperator(ens, cache_max_bytes=cache_max_bytes)
-    result = solvers.solve_l1(op, basis, ms.y.reshape(-1), solver_cfg, keep_trace=False)
-    stacked = transforms.synthesize(basis, result.theta_hat)
-    slices = stacked.reshape(ens.num_slices, ens.n)
+    provider = provider or _PhiProvider(ens, MATRIX_CACHE_BYTES)
+    phi = provider.stack(0, ens.num_slices)
+    state = solvers.solve_l1_batch(phi, basis, ms.y.reshape(1, -1), solver_cfg)
+    slices = transforms.synthesize(basis, state.theta).reshape(ens.num_slices, ens.n)
     signal = sensing.signal_from_slices(slices, ms.layout, ms.signal_shape)
-    return _container(signal, ms.layout), result.converged
+    return _container(signal, ms.layout), bool(state.converged[0])
 
 
-def _initialize(ms, basis, cfg):
+def _initialize(ms, basis, cfg, provider):
     if cfg.init == INIT_SEPARATE:
-        container, warnings = init_separate(ms, basis, cfg.solver, cfg.matrix_cache_bytes)
+        container, warnings = init_separate(ms, basis, cfg.solver, provider)
         return container.samples, [(0, w) for w in warnings]
     container, converged = init_kcs(
         ms,
         kcs_basis_for(ms, basis),
         cfg.solver,
         cfg.kcs_max_unknowns,
-        cfg.matrix_cache_bytes,
+        provider,
     )
     return container.samples, ([] if converged else [(0, -1)])
 
@@ -297,10 +301,19 @@ def predict_cube_spectral_rows(flt: RowFilter, f_prev: np.ndarray) -> np.ndarray
 
 # --- engines -----------------------------------------------------------------------
 
-def _run_iterations(ms, basis, cfg, x0, init_warnings, predict, solve_range, ground_truth):
-    """Shared outer loop: predict, correct, test convergence, trace."""
+def _run_iterations(ms, basis, cfg, initial, predict, solve_range, ground_truth):
+    """Shared engine: initialize (unless given initial), then predict, correct,
+    test convergence, trace.  The report clock includes the initialization."""
+    if initial is not None:
+        x0 = np.array(getattr(initial, "samples", initial), dtype=np.float64)
+        if x0.shape != ms.signal_shape:
+            raise ValueError(f"initial shape {x0.shape} does not match {ms.signal_shape}")
     t0 = time.perf_counter()
-    provider = _PhiProvider(ms.ensemble, cfg.matrix_cache_bytes)
+    provider = _PhiProvider(ms.ensemble, MATRIX_CACHE_BYTES)
+    if initial is None:
+        x0, init_warnings = _initialize(ms, basis, cfg, provider)
+    else:
+        init_warnings = []
     truth = None if ground_truth is None else np.asarray(
         getattr(ground_truth, "samples", ground_truth), dtype=np.float64
     )
@@ -314,16 +327,12 @@ def _run_iterations(ms, basis, cfg, x0, init_warnings, predict, solve_range, gro
     warnings = list(init_warnings)
     converged = False
     iterations = 0
+    lo, hi = solve_range
 
     for it in range(1, cfg.max_outer_iters + 1):
         x_prev = x
-        if cfg.gauss_seidel:
-            x, sweep_warn = _gauss_seidel_sweep(ms, basis, cfg, x_prev, provider, predict, solve_range)
-            pred = None
-        else:
-            pred = predict(x_prev)
-            lo, hi = solve_range
-            x, sweep_warn = _residual_sweep(ms, basis, cfg.solver, pred, provider, lo, hi)
+        pred = predict(x_prev)
+        x, sweep_warn = _residual_sweep(ms, basis, cfg.solver, pred, provider, lo, hi)
         warnings.extend((it, w) for w in sweep_warn)
         iterations = it
 
@@ -334,7 +343,7 @@ def _run_iterations(ms, basis, cfg, x0, init_warnings, predict, solve_range, gro
         if truth is not None:
             mse_trace.append(metrics.mse(x, truth))
         if track_compress:
-            compress_trace.append(metrics.row_compressibility(truth - (pred if pred is not None else x_prev)))
+            compress_trace.append(metrics.row_compressibility(truth - pred))
         elapsed.append(time.perf_counter() - t0)
 
         if rel < cfg.convergence_tol:
@@ -352,27 +361,6 @@ def _run_iterations(ms, basis, cfg, x0, init_warnings, predict, solve_range, gro
         solver_warnings=warnings,
     )
     return x, report
-
-
-def _gauss_seidel_sweep(ms, basis, cfg, x_prev, provider, predict, solve_range):
-    """In-place slice updates: each prediction sees already-updated neighbors."""
-    lo, hi = solve_range
-    hi = ms.ensemble.num_slices if hi is None else hi
-    work = x_prev.copy()
-    warnings: list[int] = []
-    for i in range(lo, hi):
-        pred = predict(work)
-        pred_slices = sensing.slices_of(pred, ms.layout)
-        phi = provider.stack(i, i + 1)[0]
-        e_y = ms.y[i] - phi @ pred_slices[i]
-        result = solvers.solve_l1(phi, basis, e_y, cfg.solver, keep_trace=False)
-        if not result.converged:
-            warnings.append(i)
-        new_slice = pred_slices[i] + transforms.synthesize(basis, result.theta_hat)
-        slices = sensing.slices_of(work, ms.layout).copy()
-        slices[i] = new_slice
-        work = sensing.signal_from_slices(slices, ms.layout, ms.signal_shape)
-    return work, warnings
 
 
 def reconstruct_2d(
@@ -394,20 +382,12 @@ def reconstruct_2d(
     if not isinstance(cfg.filter, RowFilter):
         raise ValueError("2D reconstruction needs a RowFilter (P1/P2/P3)")
     basis = basis or slice_basis_for(ms)
-    if initial is not None:
-        x0 = np.array(getattr(initial, "samples", initial), dtype=np.float64)
-        if x0.shape != ms.signal_shape:
-            raise ValueError(f"initial shape {x0.shape} does not match {ms.signal_shape}")
-        init_warnings = []
-    else:
-        x0, init_warnings = _initialize(ms, basis, cfg)
     n_rows = ms.signal_shape[0]
     x, report = _run_iterations(
         ms,
         basis,
         cfg,
-        x0,
-        init_warnings,
+        initial,
         predict=lambda prev: predict_image_rows(cfg.filter, prev),
         solve_range=(1, n_rows - 1) if n_rows > 2 else (0, 0),
         ground_truth=ground_truth,
@@ -441,19 +421,11 @@ def reconstruct_3d(
             raise ValueError("spectral-row iteration needs a RowFilter (P1/P2/P3)")
         predict = lambda prev: predict_cube_spectral_rows(cfg.filter, prev)
     basis = basis or slice_basis_for(ms)
-    if initial is not None:
-        f0 = np.array(getattr(initial, "samples", initial), dtype=np.float64)
-        if f0.shape != ms.signal_shape:
-            raise ValueError(f"initial shape {f0.shape} does not match {ms.signal_shape}")
-        init_warnings = []
-    else:
-        f0, init_warnings = _initialize(ms, basis, cfg)
     f, report = _run_iterations(
         ms,
         basis,
         cfg,
-        f0,
-        init_warnings,
+        initial,
         predict=predict,
         solve_range=(0, None),
         ground_truth=ground_truth,

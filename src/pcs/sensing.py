@@ -64,26 +64,21 @@ class SeededSensingEnsemble:
         return self.master_seed % (1 << 64)
 
 
-def _slice_stream(ensemble: SeededSensingEnsemble, i: int) -> Philox:
-    idx = 0 if ensemble.shared_matrix else i
-    key = np.array([ensemble.seed_u64, idx], dtype=np.uint64)
-    return Philox(key=key)
-
-
-def _gaussian_block(ensemble: SeededSensingEnsemble, i: int, count: int) -> np.ndarray:
-    raw = _slice_stream(ensemble, i).random_raw(count)
+def philox_normals(key0: int, key1: int, count: int) -> np.ndarray:
+    """count platform-stable N(0, 1) draws from the Philox stream keyed (key0, key1)."""
+    raw = Philox(key=np.array([key0, key1], dtype=np.uint64)).random_raw(count)
     # 53-bit uniform in the open interval (0,1), then inverse normal CDF
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u) / np.sqrt(ensemble.m)
+    return ndtri(u)
 
 
 def draw_sensing_matrix(ensemble: SeededSensingEnsemble, i: int) -> np.ndarray:
     """Regenerate slice i's m x n sensing matrix, entries N(0, 1/m)."""
     if not 0 <= i < ensemble.num_slices:
         raise IndexError(f"slice index {i} out of range [0, {ensemble.num_slices})")
-    return _gaussian_block(ensemble, i, ensemble.m * ensemble.n).reshape(
-        ensemble.m, ensemble.n
-    )
+    idx = 0 if ensemble.shared_matrix else i
+    normals = philox_normals(ensemble.seed_u64, idx, ensemble.m * ensemble.n)
+    return (normals / np.sqrt(ensemble.m)).reshape(ensemble.m, ensemble.n)
 
 
 def draw_sensing_stack(
@@ -117,9 +112,10 @@ class MeasurementSet:
             )
 
 
-def _chunk_size(ensemble: SeededSensingEnsemble, max_bytes: int = 1 << 27) -> int:
+def chunk_length(ensemble: SeededSensingEnsemble, max_bytes: int = 1 << 27) -> int:
+    """Slices per chunk, so that one chunk of sensing matrices fits in max_bytes."""
     per_slice = ensemble.m * ensemble.n * 8
-    return max(1, min(ensemble.num_slices, max_bytes // max(per_slice, 1)))
+    return max(1, min(ensemble.num_slices, max_bytes // per_slice))
 
 
 def slices_of(signal: np.ndarray, layout: Layout) -> np.ndarray:
@@ -157,7 +153,7 @@ def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout
             f"({ensemble.num_slices}, {ensemble.n})"
         )
     y = np.empty((ensemble.num_slices, ensemble.m))
-    step = _chunk_size(ensemble)
+    step = chunk_length(ensemble)
     for i0 in range(0, ensemble.num_slices, step):
         i1 = min(i0 + step, ensemble.num_slices)
         phi = draw_sensing_stack(ensemble, i0, i1)
@@ -201,10 +197,7 @@ def add_measurement_noise(ms: MeasurementSet, sigma: float, noise_seed: int = 0)
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return ms
-    bg = Philox(key=np.array([noise_seed % (1 << 64), 0xA0D17E], dtype=np.uint64))
-    raw = bg.random_raw(ms.y.size)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    noise = ndtri(u).reshape(ms.y.shape) * sigma
+    noise = philox_normals(noise_seed % (1 << 64), 0xA0D17E, ms.y.size).reshape(ms.y.shape) * sigma
     return MeasurementSet(ms.y + noise, ms.ensemble, ms.layout, ms.signal_shape)
 
 
@@ -243,10 +236,11 @@ def block_diag_adjoint(ensemble: SeededSensingEnsemble, w: np.ndarray) -> np.nda
 class BlockDiagOperator(LinearOperator):
     """Matrix-free block-diagonal sensing operator with optional block cache.
 
-    Blocks are cached when the whole stack fits in cache_max_bytes (they are
-    regenerated per call otherwise), which keeps repeated applications inside
-    an iterative solver cheap without ever forming the full block-diagonal
-    matrix.
+    A scipy LinearOperator view of diag(Phi^0, ..., Phi^{S-1}), for callers
+    outside pcs; the l1 solvers apply the same map through
+    solvers.BatchedOperator with a joint basis.  Blocks are cached when the
+    whole stack fits in cache_max_bytes and regenerated per call otherwise,
+    so the full block-diagonal matrix is never formed.
     """
 
     def __init__(self, ensemble: SeededSensingEnsemble, cache_max_bytes: int = 1 << 27):
@@ -333,6 +327,25 @@ def load_measurements(path) -> MeasurementSet:
             raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
         if version != _MEAS_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        layout = Layout(layout)
+        if layout == Layout.ROWS_2D:
+            if bands != 1:
+                raise ValueError(f"{path}: header bands={bands}, a rows2d file needs bands=1")
+            slices, length = rows, cols
+        elif layout == Layout.BANDS_3D:
+            slices, length = bands, rows * cols
+        else:
+            slices, length = rows, cols * bands
+        if num_slices != slices:
+            raise ValueError(
+                f"{path}: header num_slices={num_slices}, but rows={rows} cols={cols} "
+                f"bands={bands} give {slices} slices for layout {layout.name}"
+            )
+        if n != length:
+            raise ValueError(
+                f"{path}: header n={n}, but rows={rows} cols={cols} bands={bands} "
+                f"give slices of length {length} for layout {layout.name}"
+            )
         payload = fh.read()
     expected = num_slices * m * 8
     if len(payload) != expected:
@@ -340,6 +353,8 @@ def load_measurements(path) -> MeasurementSet:
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
     y = np.frombuffer(payload, dtype="<f8").reshape(num_slices, m).copy()
+    if not np.isfinite(y).all():
+        raise ValueError(f"{path}: payload y holds non-finite values")
     ensemble = SeededSensingEnsemble(
         master_seed=seed,
         num_slices=num_slices,
@@ -348,6 +363,5 @@ def load_measurements(path) -> MeasurementSet:
         shared_matrix=bool(flags & 1),
         non_compressive=bool(flags & 2),
     )
-    layout = Layout(layout)
     shape = (rows, cols) if layout == Layout.ROWS_2D else (rows, cols, bands)
     return MeasurementSet(y, ensemble, layout, shape)

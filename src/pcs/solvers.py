@@ -2,9 +2,12 @@
 
 solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y (or, with
 relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2) with a
-first-order primal-dual scheme (Chambolle-Pock).  Only forward/adjoint
-operator applications are used, no factorizations, so the same code runs
-per-row systems and the large block-diagonal Kronecker systems.
+first-order primal-dual scheme (Chambolle-Pock).  Every l1 solve runs on one
+operator, BatchedOperator: a stack of per-slice sensing matrices composed
+with an orthonormal basis that spans either one slice (independent per-slice
+problems) or the whole stacked vector (one joint Kronecker problem).  Only
+forward/adjoint applications are used, no factorizations.  solve_l1 and
+solve_omp take a dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -15,11 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Philox
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, lsqr
-from scipy.special import ndtri
 
-from . import transforms
+from . import sensing, transforms
 from .transforms import SparsityBasis
 
 _CHECK_EVERY = 25
@@ -75,97 +75,49 @@ def trace_to_csv(result: SolveResult, path) -> None:
             fh.write(f"{it},{obj!r},{res!r}\n")
 
 
-def _as_operator(a) -> LinearOperator:
-    if isinstance(a, LinearOperator):
-        return a
-    return aslinearoperator(np.asarray(a, dtype=np.float64))
-
-
 def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _seeded_normals(shape, key0: int, key1: int) -> np.ndarray:
-    """Platform-stable standard normals (Philox words through the inverse CDF)."""
-    raw = Philox(key=np.array([key0, key1], dtype=np.uint64)).random_raw(int(np.prod(shape)))
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u).reshape(shape)
-
-
 class BatchedOperator:
-    """A stack of independent m x n systems sharing one sparsity basis.
+    """The sensing operator of every l1 solve: per-slice matrices with a basis.
 
-    phi has shape (batch, m, n); forward maps coefficient rows (batch, N)
-    to measurement rows (batch, m) through the basis synthesis.
+    phi has shape (S, m, n).  A basis of size n (or None, the identity) makes
+    S independent problems: forward maps coefficient rows (S, n) to
+    measurement rows (S, m).  A basis of size S*n makes one joint problem
+    (Kronecker CS): forward synthesizes the stacked vector (1, S*n), applies
+    each slice's matrix to its segment and returns (1, S*m).
     """
 
     def __init__(self, phi: np.ndarray, basis: SparsityBasis | None):
         self.phi = np.asarray(phi, dtype=np.float64)
         self.basis = basis
-        self.batch, self.m, self.n = self.phi.shape
-        if basis is not None and basis.size != self.n:
-            raise ValueError(f"basis size {basis.size} does not match n={self.n}")
+        slices, m, n = self.phi.shape
+        size = n if basis is None else basis.size
+        if size == n:
+            self.joint, self.batch, self.m = False, slices, m
+        elif size == slices * n:
+            self.joint, self.batch, self.m = True, 1, slices * m
+        else:
+            raise ValueError(
+                f"basis size {size} matches neither n={n} nor {slices} slices of n ({slices * n})"
+            )
+        self.n = size
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
         x = theta if self.basis is None else transforms.synthesize(self.basis, theta)
-        return np.matmul(self.phi, x[:, :, None])[..., 0]
+        slices, _, n = self.phi.shape
+        return np.matmul(self.phi, x.reshape(slices, n, 1))[..., 0].reshape(self.batch, self.m)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        x = np.matmul(self.phi.transpose(0, 2, 1), w[:, :, None])[..., 0]
+        slices, m, _ = self.phi.shape
+        x = np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0]
+        x = x.reshape(self.batch, self.n)
         return x if self.basis is None else transforms.analyze(self.basis, x)
 
     def take(self, idx: np.ndarray) -> "BatchedOperator":
-        return BatchedOperator(self.phi[idx], self.basis)
-
-    def single(self, b: int) -> LinearOperator:
-        return _ComposedOperator(self.phi[b], self.basis)
-
-
-class _SingleOperator:
-    """Adapter presenting one LinearOperator (.matvec/.rmatvec) as a batch of 1."""
-
-    def __init__(self, op: LinearOperator, basis: SparsityBasis | None):
-        self.op = op
-        self.basis = basis
-        self.batch = 1
-        self.m = op.shape[0]
-        self.n = op.shape[1] if basis is None else basis.size
-        if basis is not None and basis.size != op.shape[1]:
-            raise ValueError(f"basis size {basis.size} does not match operator cols {op.shape[1]}")
-
-    def forward(self, theta: np.ndarray) -> np.ndarray:
-        t = theta[0]
-        x = t if self.basis is None else transforms.synthesize(self.basis, t)
-        return np.asarray(self.op.matvec(x), dtype=np.float64).reshape(1, self.m)
-
-    def adjoint(self, w: np.ndarray) -> np.ndarray:
-        x = np.asarray(self.op.rmatvec(w[0]), dtype=np.float64).reshape(-1)
-        if self.basis is not None:
-            x = transforms.analyze(self.basis, x)
-        return x.reshape(1, self.n)
-
-    def take(self, idx: np.ndarray) -> "_SingleOperator":
-        if len(idx) == 1 and idx[0] == 0:
-            return self
-        raise IndexError("single operator only has batch index 0")
-
-    def single(self, b: int) -> LinearOperator:
-        if b != 0:
-            raise IndexError("single operator only has batch index 0")
-
-        outer = self
-
-        class _View(LinearOperator):
-            def __init__(self):
-                super().__init__(dtype=np.float64, shape=(outer.m, outer.n))
-
-            def _matvec(self, v):
-                return outer.forward(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
-
-            def _rmatvec(self, w):
-                return outer.adjoint(np.asarray(w, dtype=np.float64).reshape(1, -1))[0]
-
-        return _View()
+        """Operator over problems idx; a joint operator holds only problem 0."""
+        return self if self.joint else BatchedOperator(self.phi[idx], self.basis)
 
 
 def _operator_norms(op, n_iters: int = _POWER_ITERS) -> np.ndarray:
@@ -175,7 +127,7 @@ def _operator_norms(op, n_iters: int = _POWER_ITERS) -> np.ndarray:
     part; power iteration keeps everything operator-only.  A deterministic
     seeded start vector keeps results reproducible.
     """
-    v = _seeded_normals((op.batch, op.n), 0x9E37, 0x79B9)
+    v = sensing.philox_normals(0x9E37, 0x79B9, op.batch * op.n).reshape(op.batch, op.n)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     lam = np.ones(op.batch)
     for _ in range(n_iters):
@@ -200,47 +152,20 @@ class BatchSolveState:
 
 def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
     """Degenerate m >= n case: the constraint set pins theta, so l1 plays no
-    role; LSQR (still operator-only) recovers the unique consistent point."""
-    batch, m, n = op.batch, op.m, op.n
-    y = np.asarray(y, dtype=np.float64).reshape(batch, m)
-    ynorm = np.linalg.norm(y, axis=1)
-    bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * ynorm
-    theta = np.zeros((batch, n))
-    residual = np.zeros(batch)
-    objective = np.zeros(batch)
-    iterations = np.zeros(batch, dtype=np.int64)
-    traces: list = [[] for _ in range(batch)]
-    for b in range(batch):
-        if ynorm[b] == 0:
-            continue
-        problem = op.single(b)
-        sol = lsqr(problem, y[b], atol=1e-14, btol=1e-14, iter_lim=max(10 * n, 200))
-        theta[b] = sol[0]
-        iterations[b] = sol[2]
-        residual[b] = np.linalg.norm(problem.matvec(sol[0]) - y[b])
-        objective[b] = np.abs(sol[0]).sum()
-        if keep_trace:
-            traces[b].append((int(sol[2]), float(objective[b]), float(residual[b])))
+    role; least squares on each slice's matrix, then the analysis transform,
+    recovers the unique consistent point."""
+    y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
+    slices, m, _ = op.phi.shape
+    x = np.array([np.linalg.lstsq(p, v, rcond=None)[0] for p, v in zip(op.phi, y.reshape(slices, m))])
+    x = x.reshape(op.batch, op.n)
+    theta = x if op.basis is None else transforms.analyze(op.basis, x)
+    residual = np.linalg.norm(op.forward(theta) - y, axis=1)
+    objective = np.abs(theta).sum(axis=1)
+    bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * np.linalg.norm(y, axis=1)
     converged = residual <= np.maximum(bound, 1e-300)
+    traces = [[(0, float(o), float(r))] if keep_trace else [] for o, r in zip(objective, residual)]
+    iterations = np.zeros(op.batch, dtype=np.int64)
     return BatchSolveState(theta, residual, objective, iterations, converged, traces)
-
-
-class _ComposedOperator(LinearOperator):
-    """scipy view of one dense sensing matrix composed with a basis."""
-
-    def __init__(self, phi: np.ndarray, basis: SparsityBasis | None):
-        super().__init__(dtype=np.float64, shape=phi.shape)
-        self._phi = phi
-        self._basis = basis
-
-    def _matvec(self, v):
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        x = v if self._basis is None else transforms.synthesize(self._basis, v)
-        return self._phi @ x
-
-    def _rmatvec(self, w):
-        x = self._phi.T @ np.asarray(w, dtype=np.float64).reshape(-1)
-        return x if self._basis is None else transforms.analyze(self._basis, x)
 
 
 def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
@@ -345,17 +270,24 @@ def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     return BatchSolveState(best_theta, best_res, best_obj, iters_done, converged, traces)
 
 
-def solve_l1(apply_a, basis: SparsityBasis | None, y: np.ndarray, cfg: SolveConfig | None = None,
+def _dense_matrix(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"sensing matrix must be 2-D, got shape {a.shape}")
+    return a
+
+
+def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: SolveConfig | None = None,
              keep_trace: bool = True) -> SolveResult:
     """Recover the minimum-l1 coefficient vector consistent with y.
 
-    apply_a is the sensing operator (dense matrix or anything with
-    matvec/rmatvec); basis is the sparsity basis (None means identity).
-    Returns the best feasible iterate encountered; converged=False flags a
-    solve that never met the residual bound within max_solver_iters.
+    a is the dense m x n sensing matrix; basis is the sparsity basis (None
+    means identity).  Returns the best feasible iterate encountered;
+    converged=False flags a solve that never met the residual bound within
+    max_solver_iters.
     """
     cfg = cfg or SolveConfig()
-    op = _SingleOperator(_as_operator(apply_a), basis)
+    op = BatchedOperator(_dense_matrix(a)[None], basis)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
@@ -372,11 +304,13 @@ def solve_l1(apply_a, basis: SparsityBasis | None, y: np.ndarray, cfg: SolveConf
 
 def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
                    cfg: SolveConfig | None = None) -> BatchSolveState:
-    """Vectorized solve of independent systems sharing (m, n) and one basis.
+    """Vectorized solve over a stack of sensing matrices (see BatchedOperator).
 
-    phi: (batch, m, n) stack of sensing matrices; y: (batch, m).
-    Used by the reconstruction sweeps, where every row/band poses the same
-    sized problem.
+    phi: (S, m, n) stack of sensing matrices.  With a per-slice basis (size n
+    or None) y is (S, m) and the S problems are independent; the
+    reconstruction sweeps use this, where every row/band poses the same sized
+    problem.  With a joint basis (size S*n) y is (1, S*m) and the result is
+    one joint problem, as in the Kronecker initialization.
     """
     cfg = cfg or SolveConfig()
     op = BatchedOperator(phi, basis)
@@ -386,17 +320,15 @@ def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     return _pdhg_batch(op, y, cfg, keep_trace=False)
 
 
-def solve_omp(apply_a, basis: SparsityBasis | None, y: np.ndarray,
+def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
               sparsity_budget: int | None = None, residual_tol: float | None = None) -> SolveResult:
     """Orthogonal matching pursuit baseline.
 
     Greedy pick of the atom best correlated with the residual (normalized by
     atom norm), then a least-squares refit over the active set.  Stops after
     sparsity_budget atoms or once the residual drops below residual_tol*||y||.
-
-    With a dense sensing matrix the composed dictionary A*Psi is materialized
-    (one batched analysis over the rows of A); with a matrix-free operator the
-    correlations fall back to unnormalized adjoint applications.
+    The composed dictionary A*Psi is materialized from the dense sensing
+    matrix a (one batched analysis over its rows).
     """
     if sparsity_budget is None and residual_tol is None:
         raise ValueError("need sparsity_budget or residual_tol")
@@ -405,56 +337,34 @@ def solve_omp(apply_a, basis: SparsityBasis | None, y: np.ndarray,
     if residual_tol is not None and residual_tol <= 0:
         raise ValueError("residual_tol must be > 0")
 
-    dense = not isinstance(apply_a, LinearOperator)
-    op = _as_operator(apply_a)
-    m = op.shape[0]
-    n = op.shape[1] if basis is None else basis.size
+    a = _dense_matrix(a)
+    # row k of A*Psi is the analysis transform of row k of A
+    dictionary = a if basis is None else transforms.analyze(basis, a)
+    m, n = dictionary.shape
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {m}")
-
-    if dense:
-        a = np.asarray(apply_a, dtype=np.float64)
-        # row k of A*Psi is the analysis transform of row k of A
-        dictionary = a if basis is None else transforms.analyze(basis, a)
-        norms = np.linalg.norm(dictionary, axis=0)
-        norms[norms == 0] = 1.0
-
-        def correlate(r):
-            return (dictionary.T @ r) / norms
-
-        def column(j):
-            return dictionary[:, j]
-    else:
-        def correlate(r):
-            v = op.rmatvec(r)
-            return v if basis is None else transforms.analyze(basis, v)
-
-        def column(j):
-            e = np.zeros(n)
-            e[j] = 1.0
-            v = e if basis is None else transforms.synthesize(basis, e)
-            return np.asarray(op.matvec(v), dtype=np.float64).reshape(-1)
+    norms = np.linalg.norm(dictionary, axis=0)
+    norms[norms == 0] = 1.0
 
     budget = sparsity_budget if sparsity_budget is not None else m
     rtol = residual_tol if residual_tol is not None else 0.0
     ynorm = np.linalg.norm(y)
 
     support: list[int] = []
-    cols = np.empty((m, 0))
     coef = np.empty(0)
     resid = y.copy()
     trace = []
     it = 0
     while len(support) < budget and np.linalg.norm(resid) > rtol * max(ynorm, 1e-300):
         it += 1
-        c = correlate(resid)
+        c = (dictionary.T @ resid) / norms
         c[support] = 0.0
         j = int(np.argmax(np.abs(c)))
         if c[j] == 0.0:
             break
         support.append(j)
-        cols = np.hstack([cols, column(j)[:, None]])
+        cols = dictionary[:, support]
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         resid = y - cols @ coef
         trace.append((it, float(np.abs(coef).sum()), float(np.linalg.norm(resid))))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,35 @@ class TestReconstruct2D:
         assert lines[1] == "iteration,mse,relative_change,elapsed_seconds"
         assert len(lines) == report.iterations_run + 3
 
+    def test_report_clock_includes_initialization(self, monkeypatch):
+        img = dataio.synth_image(23, 12, 12)
+        ms = acquire_rows_2d(img, SeededSensingEnsemble(24, 12, 5, 12))
+        fast_init = recon.init_separate
+
+        def slow_init(*args, **kwargs):
+            time.sleep(0.2)
+            return fast_init(*args, **kwargs)
+
+        monkeypatch.setattr(recon, "init_separate", slow_init)
+        _, report = reconstruct_2d(ms, None, ReconConfig(max_outer_iters=1))
+        assert report.elapsed_trace[0] >= 0.2
+        assert report.elapsed_seconds >= report.elapsed_trace[-1] >= 0.2
+
+    @pytest.mark.parametrize("init", [recon.INIT_SEPARATE, recon.INIT_KCS])
+    def test_sensing_matrices_drawn_once(self, monkeypatch, init):
+        img = dataio.synth_image(23, 12, 12)
+        ms = acquire_rows_2d(img, SeededSensingEnsemble(24, 12, 5, 12))
+        draws = []
+        draw = sensing.draw_sensing_stack
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(sensing, "draw_sensing_stack", counting_draw)
+        reconstruct_2d(ms, None, ReconConfig(init=init, max_outer_iters=2))
+        assert draws == [(ms.ensemble, 0, 12)]
+
     def test_layout_and_filter_validation(self):
         cube = dataio.synth_cube(25, 4, 4, 2)
         ens = SeededSensingEnsemble(26, 2, 8, 16)
@@ -223,14 +254,6 @@ class TestReconstruct2D:
         ms2 = acquire_rows_2d(img, ens2)
         with pytest.raises(ValueError):
             reconstruct_2d(ms2, cfg=ReconConfig(filter=BlockLSPredictorConfig()))
-
-    def test_gauss_seidel_variant_runs(self):
-        img = dataio.synth_image(29, 10, 12)
-        ens = SeededSensingEnsemble(30, 10, 5, 12)
-        ms = acquire_rows_2d(img, ens)
-        cfg = ReconConfig(max_outer_iters=2, gauss_seidel=True)
-        rec, report = reconstruct_2d(ms, None, cfg, ground_truth=img)
-        assert report.mse_trace[-1] <= report.mse_trace[0] * 1.05
 
 
 class TestReconstruct3D:
@@ -276,6 +299,33 @@ class TestReconstruct3D:
         ms = acquire_bands_3d(cube, ens)
         with pytest.raises(ValueError):
             reconstruct_3d(ms, None, ReconConfig(filter=P1, iterate_axis=recon.AXIS_BANDS))
+
+
+class TestMatrixCache:
+    """Above the cache cap the sensing matrices are redrawn for every sweep;
+    the numbers must not change."""
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        cached = run()
+        monkeypatch.setattr(recon, "MATRIX_CACHE_BYTES", 0)
+        return cached, run()
+
+    def test_separate_2d_redraw_is_bit_identical(self, monkeypatch):
+        img = dataio.synth_image(50, 16, 16)
+        ms = acquire_rows_2d(img, SeededSensingEnsemble(51, 16, 6, 16))
+        cfg = ReconConfig(max_outer_iters=2)
+        (a, ra), (b, rb) = self._both(monkeypatch, lambda: reconstruct_2d(ms, None, cfg, ground_truth=img))
+        assert np.array_equal(a.samples, b.samples)
+        assert ra.mse_trace == rb.mse_trace
+
+    def test_kcs_3d_redraw_is_bit_identical(self, monkeypatch):
+        cube = dataio.synth_cube(52, 8, 8, 4)
+        ms = acquire_bands_3d(cube, SeededSensingEnsemble(53, 4, 24, 64))
+        cfg = ReconConfig(init=recon.INIT_KCS, filter=BlockLSPredictorConfig(), max_outer_iters=2)
+        (a, ra), (b, rb) = self._both(monkeypatch, lambda: reconstruct_3d(ms, None, cfg, ground_truth=cube))
+        assert np.array_equal(a.samples, b.samples)
+        assert ra.mse_trace == rb.mse_trace
 
 
 class TestKCSBasis:

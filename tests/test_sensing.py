@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,44 @@ class TestMeasurementFile:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
+            load_measurements(path)
+
+    @staticmethod
+    def _saved_then_patched(tmp_path, ms, offset, fmt, value):
+        path = tmp_path / "m.pcsm"
+        save_measurements(ms, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        ens = SeededSensingEnsemble(77, 16, 8, 32)
+        ms = acquire_rows_2d(Image2D(np.random.default_rng(3).random((16, 32))), ens)
+        path = self._saved_then_patched(tmp_path, ms, 48, "<d", value)
+        with pytest.raises(ValueError, match="payload y"):
+            load_measurements(path)
+
+    # header offsets: num_slices 20, n 24, bands 36 (uint32)
+    @pytest.mark.parametrize("layout, offset, value, field", [
+        (Layout.ROWS_2D, 24, 16, "n=16"),
+        (Layout.ROWS_2D, 20, 8, "num_slices=8"),
+        (Layout.ROWS_2D, 36, 2, "bands=2"),
+        (Layout.BANDS_3D, 24, 16, "n=16"),
+        (Layout.BANDS_3D, 20, 2, "num_slices=2"),
+        (Layout.SPECTRAL_ROWS_3D, 24, 6, "n=6"),
+        (Layout.SPECTRAL_ROWS_3D, 20, 4, "num_slices=4"),
+    ])
+    def test_header_disagreeing_with_signal_shape_rejected(self, tmp_path, layout, offset, value, field):
+        if layout == Layout.ROWS_2D:
+            ms = acquire_rows_2d(Image2D(np.zeros((16, 32))), SeededSensingEnsemble(7, 16, 8, 32))
+        elif layout == Layout.BANDS_3D:
+            ms = acquire_bands_3d(Cube3D(np.zeros((2, 4, 3))), SeededSensingEnsemble(7, 3, 4, 8))
+        else:
+            ms = acquire_spectral_rows_3d(Cube3D(np.zeros((2, 4, 3))), SeededSensingEnsemble(7, 2, 4, 12))
+        path = self._saved_then_patched(tmp_path, ms, offset, "<I", value)
+        with pytest.raises(ValueError, match=field):
             load_measurements(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from pcs import transforms as tr
 from pcs.solvers import (
+    BatchedOperator,
     SolveConfig,
     solve_l0_bruteforce,
     solve_l1,
@@ -24,6 +28,61 @@ def planted_instance(seed, n, k, m):
 
 def top_support(theta, k):
     return set(np.argsort(np.abs(theta))[-k:])
+
+
+def random_stack(seed, slices, m, n):
+    return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(m), (slices, m, n))
+
+
+class TestBatchedOperator:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(1, 4), m=st.integers(1, 6),
+           d0=st.integers(1, 4), d1=st.integers(1, 4), joint=st.booleans())
+    def test_adjoint_identity(self, seed, slices, m, d0, d1, joint):
+        # <B theta, w> = <theta, B^T w> for a per-slice and a joint basis
+        n = d0 * d1
+        basis = tr.separable3d_basis(d0, d1, slices) if joint else tr.separable2d_basis(d0, d1)
+        op = BatchedOperator(random_stack(seed, slices, m, n), basis)
+        assert op.joint == (joint and slices > 1)
+        rng = np.random.default_rng(seed + 1)
+        theta = rng.normal(size=(op.batch, op.n))
+        w = rng.normal(size=(op.batch, op.m))
+        lhs = np.sum(op.forward(theta) * w)
+        rhs = np.sum(theta * op.adjoint(w))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    def test_joint_forward_is_block_diagonal_times_joint_synthesis(self):
+        slices, m, rows, cols = 3, 5, 3, 4
+        phi = random_stack(7, slices, m, rows * cols)
+        joint = tr.separable3d_basis(rows, cols, slices)
+        op = BatchedOperator(phi, joint)
+        assert (op.batch, op.m, op.n) == (1, slices * m, slices * rows * cols)
+        theta = np.random.default_rng(8).normal(size=slices * rows * cols)
+        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        np.testing.assert_allclose(op.forward(theta[None])[0], dense @ theta, atol=1e-12)
+        w = np.random.default_rng(9).normal(size=slices * m)
+        np.testing.assert_allclose(op.adjoint(w[None])[0], dense.T @ w, atol=1e-12)
+
+    def test_basis_of_other_size_rejected(self):
+        phi = random_stack(10, 3, 4, 8)
+        for size in (7, 16, 25):
+            with pytest.raises(ValueError, match="basis size"):
+                BatchedOperator(phi, tr.dct1d_basis(size))
+
+    def test_joint_solve_matches_dense_solve(self):
+        # a joint solve on the stack and a solve on the materialized
+        # block-diagonal matrix are the same l1 problem
+        slices, m, n = 2, 6, 12
+        phi = random_stack(11, slices, m, n)
+        joint = tr.separable2d_basis(n, slices)
+        theta = np.zeros(slices * n)
+        theta[[1, 5, 14]] = [1.5, -1.0, 0.75]
+        y = block_diag(*phi) @ tr.synthesize(joint, theta)
+        cfg = SolveConfig(max_solver_iters=20000)
+        state = solve_l1_batch(phi, joint, y[None], cfg)
+        dense = solve_l1(block_diag(*phi), joint, y, cfg)
+        assert state.converged[0] and dense.converged
+        np.testing.assert_allclose(state.theta[0], dense.theta_hat, atol=1e-6)
 
 
 class TestSolveL1:
@@ -118,6 +177,21 @@ class TestSolveL1:
         with pytest.raises(ValueError):
             solve_l1(np.ones((4, 8)), tr.dct1d_basis(9), np.zeros(4))
 
+    def test_matrix_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            solve_l1(np.ones((1, 4, 8)), None, np.zeros(4))
+        with pytest.raises(ValueError, match="2-D"):
+            solve_l1(np.ones(8), None, np.zeros(1))
+
+    def test_determined_system_solved_by_least_squares(self):
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(12, 8))
+        basis = tr.dct1d_basis(8)
+        theta = rng.normal(size=8)
+        res = solve_l1(a, basis, a @ tr.synthesize(basis, theta))
+        assert res.converged and res.iterations == 0
+        np.testing.assert_allclose(res.theta_hat, theta, atol=1e-10)
+
     def test_deterministic(self):
         a, _, y = planted_instance(14, 32, 3, 16)
         r1 = solve_l1(a, None, y)
@@ -179,6 +253,8 @@ class TestSolveOMP:
             solve_omp(a, None, np.zeros(4), sparsity_budget=0)
         with pytest.raises(ValueError):
             solve_omp(a, None, np.zeros(5), sparsity_budget=1)
+        with pytest.raises(ValueError, match="2-D"):
+            solve_omp(a[None], None, np.zeros(4), sparsity_budget=1)
 
 
 class TestSolveL0Bruteforce:
