@@ -32,6 +32,9 @@ _LAYOUT_NAMES = {
     "spectralrows3d": Layout.SPECTRAL_ROWS_3D,
 }
 _FILTERS = {"p1": predictors.P1, "p2": predictors.P2, "p3": predictors.P3}
+_SLICE_NOUNS = {Layout.ROWS_2D: "rows", Layout.BANDS_3D: "bands", Layout.SPECTRAL_ROWS_3D: "spectral rows"}
+# unconverged solves named per stage by `reconstruct`; the rest are only counted
+_UNCONVERGED_LISTED = 10
 
 
 @dataclass
@@ -253,8 +256,30 @@ def cmd_reconstruct(args) -> int:
           f"converged={report.converged}{final}")
     if report.solver_warnings:
         print(f"note: {len(report.solver_warnings)} slice solves did not converge "
-              "(best iterates kept)")
+              f"(best iterates kept): {_unconverged_list(report.solver_warnings, ms.layout)}")
     return 0
+
+
+def _unconverged_list(warnings, layout) -> str:
+    """Name the unconverged solves per stage, e.g. 'init: rows 0; sweep 1: rows 17, 45'.
+
+    warnings are ReconReport.solver_warnings, (outer iteration, slice) pairs
+    where iteration 0 is the initialization and slice -1 the joint KCS solve.
+    Each stage names at most _UNCONVERGED_LISTED slices and counts the rest.
+    """
+    stages: dict[int, list[int]] = {}
+    for stage, i in warnings:
+        stages.setdefault(stage, []).append(i)
+    parts = []
+    for stage, idx in stages.items():
+        name = "init" if stage == 0 else f"sweep {stage}"
+        if idx == [-1]:
+            parts.append(f"{name}: joint solve")
+            continue
+        listed = ", ".join(map(str, idx[:_UNCONVERGED_LISTED]))
+        more = len(idx) - _UNCONVERGED_LISTED
+        parts.append(f"{name}: {_SLICE_NOUNS[layout]} {listed}" + (f" and {more} more" if more > 0 else ""))
+    return "; ".join(parts)
 
 
 # --- benchmark -----------------------------------------------------------------------

@@ -12,7 +12,10 @@ below convergence_tol or max_outer_iters is reached.
 Two initialization strategies are provided: separate per-slice recovery, and
 joint Kronecker recovery (block-diagonal sensing operator with a separable
 sparsity basis spanning all slices).  Both, and every outer iteration, solve
-on the same per-slice sensing matrices, drawn once per reconstruction.
+on the same per-slice sensing matrices, drawn once per reconstruction.  The
+residual sweeps (the separate initialization and every outer iteration) run
+on the composed matrices Phi_s*Psi, composed once per reconstruction in
+place of the raw ones, after the Kronecker initialization has used them.
 """
 
 import time
@@ -101,23 +104,50 @@ def gain_db(mse_init: float, mse_final: float) -> float:
 # --- sensing-matrix provider ---------------------------------------------------
 
 class _PhiProvider:
-    """Hands out stacks of per-slice sensing matrices, caching when they fit."""
+    """Hands out stacks of per-slice sensing matrices, caching when they fit.
+
+    It starts with the raw matrices Phi_s.  compose(basis) turns it, once per
+    reconstruction, into a provider of the composed matrices B_s = Phi_s*Psi:
+    the cached stack is overwritten in place, one slice at a time, so no
+    second stack is held; without a cache each chunk is composed as it is
+    drawn.  The residual sweeps solve on B, which leaves their inner
+    iterations free of transforms.
+    """
 
     def __init__(self, ensemble: sensing.SeededSensingEnsemble, cache_max_bytes: int):
         self.ensemble = ensemble
+        self.basis: SparsityBasis | None = None
         total = ensemble.num_slices * ensemble.m * ensemble.n * 8
         self._full = sensing.draw_sensing_stack(ensemble, 0, ensemble.num_slices) \
             if total <= cache_max_bytes else None
 
+    def compose(self, basis: SparsityBasis) -> None:
+        """Hand out Phi_s*Psi from now on; repeating the same basis is a no-op."""
+        if self.basis is not None:
+            if basis != self.basis:
+                raise ValueError("sensing matrices are already composed with another basis")
+            return
+        self.basis = basis
+        if self._full is not None:
+            _compose_in_place(basis, self._full)
+
     def stack(self, start: int, stop: int) -> np.ndarray:
         if self._full is not None:
             return self._full[start:stop]
-        return sensing.draw_sensing_stack(self.ensemble, start, stop)
+        phi = sensing.draw_sensing_stack(self.ensemble, start, stop)
+        return phi if self.basis is None else _compose_in_place(self.basis, phi)
 
     def chunk_length(self) -> int:
         if self._full is not None:
             return self.ensemble.num_slices
         return sensing.chunk_length(self.ensemble)
+
+
+def _compose_in_place(basis: SparsityBasis, phi: np.ndarray) -> np.ndarray:
+    """Overwrite each Phi_s with Phi_s*Psi: row k of it is analyze(row k of Phi_s)."""
+    for p in phi:
+        p[...] = transforms.analyze(basis, p)
+    return phi
 
 
 # --- slice bases -----------------------------------------------------------------
@@ -167,21 +197,30 @@ def _residual_sweep(
 ) -> tuple[np.ndarray, list[int]]:
     """Correct predicted slices [solve_lo, solve_hi) against their measurements.
 
-    Slices outside the range keep the prediction unchanged.  Returns the
-    updated signal and the indices of slices whose solve did not converge.
+    Works in coefficients on the composed matrices B_s = Phi_s*Psi (the
+    provider is composed with basis on the first call): the prediction's
+    coefficients c give e_y = y - B c, and the l1 solve on B recovers the
+    error's coefficients.  Slices outside the range keep the prediction
+    unchanged.  Returns the updated signal and the indices of slices whose
+    solve did not converge.
     """
     ens = ms.ensemble
     solve_hi = ens.num_slices if solve_hi is None else solve_hi
+    provider.compose(basis)
     pred_slices = sensing.slices_of(pred_signal, ms.layout)
     new_slices = pred_slices.copy()
     warnings: list[int] = []
     step = provider.chunk_length()
     for i0 in range(solve_lo, solve_hi, step):
         i1 = min(i0 + step, solve_hi)
-        phi = provider.stack(i0, i1)
-        y_pred = np.matmul(phi, pred_slices[i0:i1, :, None])[..., 0]
-        e_y = ms.y[i0:i1] - y_pred
-        state = solvers.solve_l1_batch(phi, basis, e_y, solver_cfg)
+        b = provider.stack(i0, i1)
+        c = transforms.analyze(basis, pred_slices[i0:i1])
+        y = ms.y[i0:i1]
+        e_y = y - np.matmul(b, c[:, :, None])[..., 0]
+        # B c differs from the acquisition's Phi x by rounding: an exact
+        # prediction leaves ~1e-16 ||y||, noise the solver would chase
+        e_y[np.linalg.norm(e_y, axis=1) <= 1e-12 * np.linalg.norm(y, axis=1)] = 0.0
+        state = solvers.solve_l1_batch(b, None, e_y, solver_cfg)
         e_x = transforms.synthesize(basis, state.theta)
         new_slices[i0:i1] = pred_slices[i0:i1] + e_x
         warnings.extend(int(i0 + j) for j in np.flatnonzero(~state.converged))
@@ -223,7 +262,8 @@ def init_kcs(
 
     basis is the joint separable basis (defaults to DCT factors on every
     axis); solves a single stacked l1 problem on the whole stack of sensing
-    matrices and reshapes the result.  provider is as in init_separate.
+    matrices and reshapes the result.  provider is as in init_separate, and
+    must not be composed yet: the joint solve runs on the raw matrices.
     Returns (signal container, converged flag).
     """
     ens = ms.ensemble
@@ -238,6 +278,8 @@ def init_kcs(
         raise ValueError(f"joint basis size {basis.size} does not match {unknowns} unknowns")
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
     provider = provider or _PhiProvider(ens, MATRIX_CACHE_BYTES)
+    if provider.basis is not None:
+        raise ValueError("init_kcs needs the raw sensing matrices; the provider is already composed")
     phi = provider.stack(0, ens.num_slices)
     state = solvers.solve_l1_batch(phi, basis, ms.y.reshape(1, -1), solver_cfg)
     slices = transforms.synthesize(basis, state.theta).reshape(ens.num_slices, ens.n)

@@ -5,8 +5,12 @@ relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2) with a
 first-order primal-dual scheme (Chambolle-Pock).  Every l1 solve runs on one
 operator, BatchedOperator: a stack of per-slice sensing matrices composed
 with an orthonormal basis that spans either one slice (independent per-slice
-problems) or the whole stacked vector (one joint Kronecker problem).  Only
-forward/adjoint applications are used, no factorizations.  solve_l1 and
+problems) or the whole stacked vector (one joint Kronecker problem).  A
+caller that holds the composed stack A*Psi passes it with basis None, and
+the iterations then run no transform at all; the reconstruction sweeps do
+this.  Only forward/adjoint applications are used, no factorizations.
+Problems in a batch are solved independently: each leaves the batch at its
+own stop, with a result that does not depend on the batch.  solve_l1 and
 solve_omp take a dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
@@ -38,8 +42,9 @@ class SolveConfig:
     counts as converged once some iterate satisfies
     ||A*Psi*theta - y|| <= max(feasibility_tol, relaxed_epsilon)*||y||.
     objective_tol is the relative l1 decrease between residual checks below
-    which a feasible solve stops early.  relaxed_epsilon = 0 selects the
-    equality-constrained mode.
+    which a feasible solve stops early; in a batch each problem stops at its
+    own check, and iterations counts that problem's iterations only.
+    relaxed_epsilon = 0 selects the equality-constrained mode.
     """
 
     feasibility_tol: float = 1e-6
@@ -124,10 +129,11 @@ def _operator_norms(op, n_iters: int = _POWER_ITERS) -> np.ndarray:
     """Per-problem spectral norm estimates via power iteration.
 
     The basis factor is orthonormal, so this equals the norm of the sensing
-    part; power iteration keeps everything operator-only.  A deterministic
-    seeded start vector keeps results reproducible.
+    part; power iteration keeps everything operator-only.  Every problem
+    starts from the same seeded vector, so a problem's estimate does not
+    depend on the batch it is solved in.
     """
-    v = sensing.philox_normals(0x9E37, 0x79B9, op.batch * op.n).reshape(op.batch, op.n)
+    v = np.tile(sensing.philox_normals(0x9E37, 0x79B9, op.n), (op.batch, 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     lam = np.ones(op.batch)
     for _ in range(n_iters):
@@ -171,9 +177,12 @@ def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> 
 def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
     """Primal-dual iterations over a batch of independent problems.
 
-    Problems that reach feasibility and an l1 plateau are retired and the
-    working set compacted, so sweeps where most subproblems converge early
-    stay cheap.
+    A problem that reaches feasibility and an l1 plateau leaves the working
+    set at that residual check, so a sweep costs what its slow problems need
+    and not the whole batch times the slowest.  With the shared power-
+    iteration start vector (_operator_norms), every row operation here is
+    per problem: a problem's result, iteration count and converged flag are
+    bit-identical whether it is solved alone or in any batch.
     """
     if op.m >= op.n:
         return _determined_batch(op, y, cfg, keep_trace)
@@ -251,20 +260,18 @@ def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                     best_res[gmiss] = res[miss]
                     break
                 if np.any(done):
-                    keep = ~done
-                    if not np.any(keep):
+                    kidx = np.flatnonzero(~done)
+                    if kidx.size == 0:
                         break
-                    if keep.sum() <= 0.7 * work.size:
-                        kidx = np.flatnonzero(keep)
-                        work = work[kidx]
-                        sub = sub.take(kidx)
-                        ysub = ysub[kidx]
-                        yscale = yscale[kidx]
-                        tau = tau[kidx]
-                        sigma = sigma[kidx]
-                        x = x[kidx]
-                        z = z[kidx]
-                        prev_obj = prev_obj[kidx]
+                    work = work[kidx]
+                    sub = sub.take(kidx)
+                    ysub = ysub[kidx]
+                    yscale = yscale[kidx]
+                    tau = tau[kidx]
+                    sigma = sigma[kidx]
+                    x = x[kidx]
+                    z = z[kidx]
+                    prev_obj = prev_obj[kidx]
 
     converged = np.isfinite(best_obj) & (best_res <= np.maximum(bound_full, 0.0) + 1e-300)
     return BatchSolveState(best_theta, best_res, best_obj, iters_done, converged, traces)

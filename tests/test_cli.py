@@ -118,6 +118,26 @@ class TestReconstruct:
         assert main(["reconstruct", "nope.pcsm", "-o", "rec"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unconverged_solves_named_per_stage(self, workdir, capsys):
+        img = _synth_image(workdir, rows=24, cols=24)
+        main(["acquire", str(img), "-m", "8", "--seed", "1", "-o", "m.pcsm"])
+        capsys.readouterr()
+        # 25 iterations are too few for any row: 24 init solves, 22 per sweep
+        assert main(["reconstruct", "m.pcsm", "--iters", "2", "--solver-iters", "25", "-o", "rec"]) == 0
+        note = capsys.readouterr().out.splitlines()[-1]
+        assert note == (
+            "note: 68 slice solves did not converge (best iterates kept): "
+            "init: rows 0, 1, 2, 3, 4, 5, 6, 7, 8, 9 and 14 more; "
+            "sweep 1: rows 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 12 more; "
+            "sweep 2: rows 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 12 more"
+        )
+
+    def test_unconverged_list_format(self):
+        assert cli._unconverged_list([(0, 0), (1, 17), (1, 45)], sensing.Layout.ROWS_2D) == \
+            "init: rows 0; sweep 1: rows 17, 45"
+        assert cli._unconverged_list([(0, -1), (2, 3)], sensing.Layout.BANDS_3D) == \
+            "init: joint solve; sweep 2: bands 3"
+
 
 SUITE = """
 # tiny grid

@@ -328,6 +328,78 @@ class TestMatrixCache:
         assert ra.mse_trace == rb.mse_trace
 
 
+class TestComposedProvider:
+    """The residual sweeps solve on B_s = Phi_s*Psi, composed once in place."""
+
+    @staticmethod
+    def _scene():
+        img = dataio.synth_image(60, 12, 16)
+        ms = acquire_rows_2d(img, SeededSensingEnsemble(61, 12, 6, 16))
+        return img, ms, recon._PhiProvider(ms.ensemble, recon.MATRIX_CACHE_BYTES)
+
+    @pytest.mark.parametrize("cache_bytes", [recon.MATRIX_CACHE_BYTES, 0])
+    def test_compose_analyzes_every_row(self, cache_bytes):
+        _, ms, _ = self._scene()
+        provider = recon._PhiProvider(ms.ensemble, cache_bytes)
+        basis = slice_basis_for(ms)
+        phi = sensing.draw_sensing_stack(ms.ensemble, 0, 12)
+        provider.compose(basis)
+        want = transforms.analyze(basis, phi.reshape(-1, 16)).reshape(phi.shape)
+        np.testing.assert_allclose(provider.stack(0, 12), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(provider.stack(3, 7), want[3:7], rtol=0, atol=1e-12)
+
+    def test_compose_is_idempotent_and_refuses_another_basis(self):
+        _, ms, provider = self._scene()
+        basis = slice_basis_for(ms)
+        provider.compose(basis)
+        once = provider.stack(0, 12).copy()
+        provider.compose(basis)
+        assert np.array_equal(provider.stack(0, 12), once)
+        with pytest.raises(ValueError, match="another basis"):
+            provider.compose(transforms.identity_basis(16))
+
+    def test_init_kcs_refuses_composed_provider(self):
+        _, ms, provider = self._scene()
+        provider.compose(slice_basis_for(ms))
+        with pytest.raises(ValueError, match="composed"):
+            init_kcs(ms, provider=provider)
+
+    def test_sweep_transform_count_does_not_grow_with_iterations(self, monkeypatch):
+        img, ms, _ = self._scene()
+        calls = []
+        for name in ("analyze", "synthesize"):
+            fn = getattr(transforms, name)
+            monkeypatch.setattr(transforms, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        counts = []
+        for iters in (50, 500):
+            provider = recon._PhiProvider(ms.ensemble, recon.MATRIX_CACHE_BYTES)
+            calls.clear()
+            recon._residual_sweep(ms, slice_basis_for(ms), SolveConfig(max_solver_iters=iters),
+                                  0.9 * img.samples, provider, 1, 11)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_sweeps_reuse_the_buffer_and_leave_it_unmodified(self, monkeypatch):
+        img, ms, provider = self._scene()
+        seen = []
+        solve = solvers.solve_l1_batch
+
+        def checking_solve(phi, basis, y, cfg=None):
+            before = (phi.copy(), y.copy())
+            state = solve(phi, basis, y, cfg)
+            assert np.array_equal(phi, before[0]) and np.array_equal(y, before[1])
+            seen.append(phi)
+            return state
+
+        monkeypatch.setattr(solvers, "solve_l1_batch", checking_solve)
+        basis = slice_basis_for(ms)
+        for _ in range(2):
+            recon._residual_sweep(ms, basis, SolveConfig(max_solver_iters=50), 0.9 * img.samples, provider)
+        full = provider.stack(0, 12)
+        assert len(seen) == 2
+        assert all(np.shares_memory(phi, full) for phi in seen)
+
+
 class TestKCSBasis:
     def test_joint_basis_consistent_with_stacking(self):
         # synthesizing joint coefficients and slicing must equal acting on the

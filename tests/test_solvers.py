@@ -85,6 +85,35 @@ class TestBatchedOperator:
         np.testing.assert_allclose(state.theta[0], dense.theta_hat, atol=1e-6)
 
 
+class TestBatchIndependence:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_basis=st.booleans())
+    def test_result_does_not_depend_on_the_batch(self, seed, with_basis):
+        # each problem stops at its own check from the same start vector, so
+        # alone, in the full batch and in a subset it gives the same bits
+        slices, m, n = 8, 8, 16
+        rng = np.random.default_rng(seed)
+        phi = random_stack(seed, slices, m, n)
+        theta = np.zeros((slices, n))
+        for s in range(slices):
+            k = 1 + s % 3
+            theta[s, rng.choice(n, k, replace=False)] = rng.normal(size=k)
+        basis = tr.dct1d_basis(n) if with_basis else None
+        x = theta if basis is None else tr.synthesize(basis, theta)
+        y = np.matmul(phi, x[:, :, None])[..., 0]
+        # the sweep tolerances: the problems stop at different checks
+        cfg = SolveConfig(feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=600)
+        subset = np.flatnonzero(rng.random(slices) < 0.5)
+        full = solve_l1_batch(phi, basis, y, cfg)
+        part = solve_l1_batch(phi[subset], basis, y[subset], cfg)
+        runs = [(s, solve_l1_batch(phi[s:s + 1], basis, y[s:s + 1], cfg), 0) for s in range(slices)]
+        runs += [(s, part, j) for j, s in enumerate(subset)]
+        for s, state, j in runs:
+            assert np.array_equal(state.theta[j], full.theta[s])
+            assert state.iterations[j] == full.iterations[s]
+            assert state.converged[j] == full.converged[s]
+
+
 class TestSolveL1:
     def test_zero_measurements(self):
         res = solve_l1(np.ones((4, 8)), None, np.zeros(4))
