@@ -1,17 +1,24 @@
 """Sparse-recovery engines.
 
 solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y (or, with
-relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2) with a
-first-order primal-dual scheme (Chambolle-Pock).  Every l1 solve runs on one
-operator, BatchedOperator: a stack of per-slice sensing matrices composed
-with an orthonormal basis that spans either one slice (independent per-slice
-problems) or the whole stacked vector (one joint Kronecker problem).  A
-caller that holds the composed stack A*Psi passes it with basis None, and
-the iterations then run no transform at all; the reconstruction sweeps do
-this.  Only forward/adjoint applications are used, no factorizations.
-Problems in a batch are solved independently: each leaves the batch at its
-own stop, with a result that does not depend on the batch.  solve_l1 and
-solve_omp take a dense matrix.
+relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2).  Every l1
+solve runs on one operator, BatchedOperator: a stack of per-slice sensing
+matrices composed with an orthonormal basis that spans either one slice
+(independent per-slice problems) or the whole stacked vector (one joint
+Kronecker problem).  A caller that holds the composed stack A*Psi passes it
+with basis None; the reconstruction sweeps do this.
+
+One function (_solve_batch) picks the algorithm.  An equality-constrained
+problem on an explicit stack (basis None) runs ADMM on the exact projection
+onto its constraints: each slice's rows are factored once per call (an
+eigendecomposition of the m x m Gram matrix, rank-revealing), and the
+iterations apply the orthonormal factor through BatchedOperator.  A basis
+inside the operator (the Kronecker initialization, solve_l1 with a basis)
+or a relaxed constraint runs a first-order primal-dual scheme
+(Chambolle-Pock) that uses only forward/adjoint applications.  m >= n is
+least squares.  Problems in a batch are solved independently: each leaves
+the batch at its own stop, with a result that does not depend on the batch.
+solve_l1 and solve_omp take a dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -32,19 +39,29 @@ _POWER_ITERS = 30
 # natural-image-row instances; tau*sigma*L^2 = 0.95^2 < 1 holds regardless
 _STEP_RATIO = 0.25
 _RELAX = 1.9
+# ADMM penalty rho = _ADMM_RHO*sqrt(n) on the normalized problem
+_ADMM_RHO = 8.0
+# Gram eigenvalues below this fraction of the largest are null directions
+_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Tolerances for the l1 solver.
 
-    feasibility_tol and relaxed_epsilon are relative to ||y||_2; a solve
-    counts as converged once some iterate satisfies
+    feasibility_tol and relaxed_epsilon are relative to ||y||_2; the bound is
     ||A*Psi*theta - y|| <= max(feasibility_tol, relaxed_epsilon)*||y||.
     objective_tol is the relative l1 decrease between residual checks below
-    which a feasible solve stops early; in a batch each problem stops at its
-    own check, and iterations counts that problem's iterations only.
+    which a feasible solve stops; in a batch each problem stops at its own
+    check, and iterations counts that problem's iterations only.
     relaxed_epsilon = 0 selects the equality-constrained mode.
+
+    converged means, on the ADMM path (basis None, equality), that the
+    problem met its stop test (feasible and l1 plateau) by
+    max_solver_iters and the returned theta meets the bound: every ADMM
+    candidate is feasible to rounding, so meeting the bound alone says
+    nothing.  On the primal-dual path it means that some checked iterate
+    met the bound.
     """
 
     feasibility_tol: float = 1e-6
@@ -156,6 +173,20 @@ class BatchSolveState:
     traces: list
 
 
+def _solve_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
+    """The one place that picks the algorithm for a batch.
+
+    m >= n pins theta (least squares); an equality-constrained problem on an
+    explicit stack (basis None) runs ADMM on its exact projection; a basis
+    inside the operator or a relaxed constraint runs primal-dual iterations.
+    """
+    if op.m >= op.n:
+        return _determined_batch(op, y, cfg, keep_trace)
+    if op.basis is None and cfg.relaxed_epsilon == 0:
+        return _admm_batch(op, y, cfg, keep_trace)
+    return _pdhg_batch(op, y, cfg, keep_trace)
+
+
 def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
     """Degenerate m >= n case: the constraint set pins theta, so l1 plays no
     role; least squares on each slice's matrix, then the analysis transform,
@@ -174,6 +205,146 @@ def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> 
     return BatchSolveState(theta, residual, objective, iterations, converged, traces)
 
 
+def _start(op, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, BatchSolveState]:
+    """(y, ||y|| per problem, the state the iterations fill in).
+
+    The state starts as the answer for zero measurements (theta = 0 is
+    feasible with minimal l1) and as "no feasible iterate yet" elsewhere.
+    """
+    y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
+    ynorm = np.linalg.norm(y, axis=1)
+    state = BatchSolveState(
+        theta=np.zeros((op.batch, op.n)),
+        residual=ynorm.copy(),
+        objective=np.where(ynorm == 0, 0.0, np.inf),
+        iterations=np.zeros(op.batch, dtype=np.int64),
+        converged=ynorm == 0,
+        traces=[[] for _ in range(op.batch)],
+    )
+    return y, ynorm, state
+
+
+def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_trace, last):
+    """One residual check of the active problems work; returns (done, l1).
+
+    cand is each problem's candidate on the normalized problem and res its
+    residual at the caller's scale.  A feasible candidate with a lower l1
+    than the problem's best replaces it; done marks the problems that are
+    feasible and whose l1 changed by at most objective_tol since the last
+    check.  At the cap a problem never feasible keeps its last candidate.
+    """
+    obj = np.abs(cand).sum(axis=1) * yscale
+    state.iterations[work] = k
+    if keep_trace:
+        for local, g in enumerate(work):
+            state.traces[g].append((k, float(obj[local]), float(res[local])))
+    feas = res <= bound[work]
+    improve = feas & (obj < state.objective[work])
+    gidx = work[improve]
+    state.theta[gidx] = cand[improve] * yscale[improve, None]
+    state.objective[gidx] = obj[improve]
+    state.residual[gidx] = res[improve]
+    rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
+    done = feas & np.isfinite(prev_obj) & (rel_dec <= cfg.objective_tol)
+    if last:
+        miss = ~np.isfinite(state.objective[work])
+        gmiss = work[miss]
+        state.theta[gmiss] = cand[miss] * yscale[miss, None]
+        state.objective[gmiss] = obj[miss]
+        state.residual[gmiss] = res[miss]
+    return done, obj
+
+
+def _row_space(phi: np.ndarray, yhat: np.ndarray, work: np.ndarray):
+    """Orthonormal rows of the row space of each slice s in work.
+
+    yhat holds the normalized measurements of those slices, aligned with
+    work.  With Phi_s Phi_s^T = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T Phi_s
+    of the directions with w above the rank cut are orthonormal, and
+    P(v) = v - Q(Q^T v - yq), yq = diag(w)^-1/2 V^T yhat_s, projects onto the
+    least-squares solutions of Phi_s theta = yhat_s.  Null directions get
+    zero rows.  gap is the distance of yhat_s from the range: 0 (to rounding)
+    when the system is consistent.  One slice at a time, so only the Q^T
+    stack and one m x m matrix are held.  Returns (Q^T, yq, gap), aligned
+    with work.
+    """
+    qt = np.zeros((work.size,) + phi.shape[1:])
+    yq = np.zeros((work.size, phi.shape[1]))
+    gap = np.empty(work.size)
+    for j, s in enumerate(work):
+        w, v = np.linalg.eigh(phi[s] @ phi[s].T)
+        keep = w > w[-1] * _RANK_RTOL
+        v = v[:, keep]
+        coef = v.T @ yhat[j]
+        gap[j] = np.linalg.norm(yhat[j] - v @ coef)
+        scale = w[keep] ** -0.5
+        yq[j, :scale.size] = coef * scale
+        qt[j, :scale.size] = (v * scale).T @ phi[s]
+    return qt, yq, gap
+
+
+def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
+    """Basis pursuit by ADMM on the exact projection (Boyd et al. 2011, 6.2).
+
+    Each slice's rows are factored once (_row_space) into an orthonormal
+    stack Q^T that this function owns; the iteration
+        x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z
+    applies P through a BatchedOperator over Q^T, so it needs no power
+    iteration and no step sizes.  At each check the candidate is P(z), which
+    meets the constraints to rounding; a problem is done, and converged, when
+    it is feasible and its l1 has plateaued.  A done problem leaves the
+    working set and its Q^T rows are overwritten by compaction in place, so
+    every row operation is per problem and a result is bit-identical alone or
+    in any batch.  The reported residual is recomputed on the caller's stack.
+    """
+    y, ynorm, state = _start(op, y)
+    bound = cfg.feasibility_tol * ynorm
+    stopped = np.zeros(op.batch, dtype=bool)
+    work = np.flatnonzero(ynorm > 0)
+    if work.size:
+        # the iteration is not scale-equivariant (the soft-threshold has a
+        # fixed size), so it runs on y/||y||
+        yscale = ynorm[work]
+        qt, yq, gap = _row_space(op.phi, y[work] / yscale[:, None], work)
+        thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
+        z = np.zeros((work.size, op.n))
+        u = np.zeros((work.size, op.n))
+        prev_obj = np.full(work.size, np.inf)
+        proj = BatchedOperator(qt, None)
+
+        def project(v):
+            return v - proj.adjoint(proj.forward(v) - yq)
+
+        k = 0
+        while k < cfg.max_solver_iters:
+            k += 1
+            x = project(z - u)
+            z = _soft_threshold(x + u, thresh)
+            u += x - z
+            last = k == cfg.max_solver_iters
+            if k % _CHECK_EVERY == 0 or last:
+                done, prev_obj = _record_check(state, k, work, project(z), gap * yscale, yscale,
+                                               bound, prev_obj, cfg, keep_trace, last)
+                stopped[work[done]] = True
+                kidx = np.flatnonzero(~done)
+                if last or kidx.size == 0:
+                    break
+                if kidx.size < work.size:
+                    work, yq, gap, yscale = work[kidx], yq[kidx], gap[kidx], yscale[kidx]
+                    z, u, prev_obj = z[kidx], u[kidx], prev_obj[kidx]
+                    # compact the Q^T buffer in place: kidx ascends, so no
+                    # row is overwritten before it is moved
+                    for j, s in enumerate(kidx):
+                        if j != s:
+                            qt[j] = qt[s]
+                    proj = BatchedOperator(qt[:kidx.size], None)
+
+    state.residual = np.linalg.norm(op.forward(state.theta) - y, axis=1)
+    state.objective = np.abs(state.theta).sum(axis=1)
+    state.converged |= stopped & (state.residual <= bound)
+    return state
+
+
 def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
     """Primal-dual iterations over a batch of independent problems.
 
@@ -184,28 +355,13 @@ def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     per problem: a problem's result, iteration count and converged flag are
     bit-identical whether it is solved alone or in any batch.
     """
-    if op.m >= op.n:
-        return _determined_batch(op, y, cfg, keep_trace)
-    batch, m, n = op.batch, op.m, op.n
-    y = np.asarray(y, dtype=np.float64).reshape(batch, m)
-    ynorm = np.linalg.norm(y, axis=1)
+    m, n = op.m, op.n
+    y, ynorm, state = _start(op, y)
     feas_rel = max(cfg.feasibility_tol, cfg.relaxed_epsilon)
     bound_full = feas_rel * ynorm
-    eps_full = cfg.relaxed_epsilon * ynorm
-
-    best_theta = np.zeros((batch, n))
-    best_obj = np.full(batch, np.inf)
-    best_res = ynorm.copy()
-    iters_done = np.zeros(batch, dtype=np.int64)
-    traces: list = [[] for _ in range(batch)]
-
-    # zero measurements: theta = 0 is feasible with minimal l1
-    best_obj[ynorm == 0] = 0.0
-    best_res[ynorm == 0] = 0.0
-
     work = np.flatnonzero(ynorm > 0)
     if work.size:
-        sub = op.take(work)
+        sub = op if work.size == op.batch else op.take(work)
         # solve against y/||y||: the iteration is not scale-equivariant (the
         # soft-threshold has a fixed size), so normalizing keeps small-residual
         # problems in the same well-tuned regime as unit-scale ones
@@ -232,37 +388,15 @@ def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
             x = x + _RELAX * (xt - x)
             z = z + _RELAX * (zt - z)
 
-            if k % _CHECK_EVERY == 0 or k == cfg.max_solver_iters:
+            last = k == cfg.max_solver_iters
+            if k % _CHECK_EVERY == 0 or last:
                 res = np.linalg.norm(sub.forward(x) - ysub, axis=1) * yscale
-                obj = np.abs(x).sum(axis=1) * yscale
-                iters_done[work] = k
-                if keep_trace:
-                    for local, g in enumerate(work):
-                        traces[g].append((k, float(obj[local]), float(res[local])))
-                feas = res <= bound_full[work]
-                improve = feas & (obj < best_obj[work])
-                gidx = work[improve]
-                best_theta[gidx] = x[improve] * yscale[improve, None]
-                best_obj[gidx] = obj[improve]
-                best_res[gidx] = res[improve]
-
-                rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
-                done = feas & np.isfinite(prev_obj) & (rel_dec <= cfg.objective_tol)
-                done &= np.isfinite(best_obj[work])
-                prev_obj = obj
-
-                if k == cfg.max_solver_iters:
-                    # never-feasible problems fall back to the final iterate
-                    miss = ~np.isfinite(best_obj[work])
-                    gmiss = work[miss]
-                    best_theta[gmiss] = x[miss] * yscale[miss, None]
-                    best_obj[gmiss] = obj[miss]
-                    best_res[gmiss] = res[miss]
+                done, prev_obj = _record_check(state, k, work, x, res, yscale, bound_full, prev_obj,
+                                               cfg, keep_trace, last)
+                kidx = np.flatnonzero(~done)
+                if last or kidx.size == 0:
                     break
-                if np.any(done):
-                    kidx = np.flatnonzero(~done)
-                    if kidx.size == 0:
-                        break
+                if kidx.size < work.size:
                     work = work[kidx]
                     sub = sub.take(kidx)
                     ysub = ysub[kidx]
@@ -273,8 +407,8 @@ def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                     z = z[kidx]
                     prev_obj = prev_obj[kidx]
 
-    converged = np.isfinite(best_obj) & (best_res <= np.maximum(bound_full, 0.0) + 1e-300)
-    return BatchSolveState(best_theta, best_res, best_obj, iters_done, converged, traces)
+    state.converged = np.isfinite(state.objective) & (state.residual <= bound_full + 1e-300)
+    return state
 
 
 def _dense_matrix(a) -> np.ndarray:
@@ -290,15 +424,15 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: Sol
 
     a is the dense m x n sensing matrix; basis is the sparsity basis (None
     means identity).  Returns the best feasible iterate encountered;
-    converged=False flags a solve that never met the residual bound within
-    max_solver_iters.
+    converged=False flags a solve that did not finish within
+    max_solver_iters (see SolveConfig for what each algorithm counts).
     """
     cfg = cfg or SolveConfig()
     op = BatchedOperator(_dense_matrix(a)[None], basis)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
-    state = _pdhg_batch(op, y[None, :], cfg, keep_trace)
+    state = _solve_batch(op, y[None, :], cfg, keep_trace)
     return SolveResult(
         theta_hat=state.theta[0],
         residual_l2=float(state.residual[0]),
@@ -324,7 +458,7 @@ def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")
-    return _pdhg_batch(op, y, cfg, keep_trace=False)
+    return _solve_batch(op, y, cfg, keep_trace=False)
 
 
 def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,

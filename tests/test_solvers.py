@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from pcs import solvers
 from pcs import transforms as tr
 from pcs.solvers import (
     BatchedOperator,
@@ -112,6 +113,108 @@ class TestBatchIndependence:
             assert np.array_equal(state.theta[j], full.theta[s])
             assert state.iterations[j] == full.iterations[s]
             assert state.converged[j] == full.converged[s]
+
+
+class TestAlgorithmChoice:
+    @pytest.mark.parametrize("basis, cfg, algorithm", [
+        (None, SolveConfig(), "_admm_batch"),
+        (tr.dct1d_basis(16), SolveConfig(), "_pdhg_batch"),
+        (None, SolveConfig(relaxed_epsilon=0.01), "_pdhg_batch"),
+    ])
+    def test_one_place_picks_the_algorithm(self, monkeypatch, basis, cfg, algorithm):
+        # equality solves on an explicit matrix run ADMM; a basis inside the
+        # operator or a relaxed constraint keeps the primal-dual iteration
+        calls = []
+        for name in ("_admm_batch", "_pdhg_batch", "_determined_batch"):
+            original = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        a, _, y = planted_instance(17, 16, 2, 8)
+        solve_l1(a, basis, y, cfg)
+        solve_l1_batch(a[None], basis, y[None], cfg)
+        solve_l1(np.vstack([a, a]), basis, np.concatenate([y, y]), cfg)
+        assert calls == [algorithm, algorithm, "_determined_batch"]
+
+    def test_admm_and_pdhg_agree_on_dct_sparse_problems(self):
+        # the sweeps' route (basis None on the composed A*Psi, ADMM) and the
+        # basis route (A with the DCT inside the operator, PDHG) solve the
+        # same l1 problem
+        n, k, m = 64, 4, 32
+        basis = tr.dct1d_basis(n)
+        for seed in range(5):
+            rng = np.random.default_rng(600 + seed)
+            theta = np.zeros(n)
+            theta[rng.choice(n, k, replace=False)] = rng.normal(0, 1, k) + 0.5
+            a = rng.normal(0, 1 / np.sqrt(m), (m, n))
+            y = a @ tr.synthesize(basis, theta)
+            admm = solve_l1(tr.analyze(basis, a), None, y)
+            pdhg = solve_l1(a, basis, y)
+            assert admm.converged and pdhg.converged
+            np.testing.assert_allclose(admm.theta_hat, pdhg.theta_hat, atol=1e-5)
+            assert abs(admm.l1_objective - pdhg.l1_objective) <= 1e-4 * pdhg.l1_objective
+
+
+class TestEqualitySolveFeasibility:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.integers(1, 14),
+           duplicate=st.booleans(), planted=st.booleans())
+    def test_converged_solves_meet_the_constraints(self, seed, m, extra, duplicate, planted):
+        # every candidate is the exact projection, so a converged solve is
+        # feasible to rounding; the reported residual is the caller's
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        a = rng.normal(size=(m, n))
+        if duplicate and m > 1:
+            a[-1] = a[0]
+        if planted:
+            theta = np.zeros(n)
+            theta[rng.choice(n, min(2, n), replace=False)] = rng.normal(size=min(2, n))
+            y = a @ theta
+        else:
+            y = rng.normal(size=m)
+        res = solve_l1(a, None, y)
+        resid = np.linalg.norm(a @ res.theta_hat - y)
+        if res.converged:
+            assert resid <= 1e-10 * np.linalg.norm(y)
+        assert abs(resid - res.residual_l2) <= 1e-14 * np.linalg.norm(y)
+        consistent = planted or not duplicate or m == 1 or y[-1] == y[0]
+        assert res.converged == consistent
+
+    def test_planted_batches_all_converge(self):
+        # 54 batches of the acceptance-criterion-1 form with the default
+        # configuration: every problem converged and feasible
+        cfg = SolveConfig()
+        for b in range(54):
+            a, y = zip(*((p[0], p[2]) for p in (planted_instance(10_000 + 100 * b + t, 64, 5, 32)
+                                                  for t in range(100))))
+            a, y = np.array(a), np.array(y)
+            state = solve_l1_batch(a, None, y, cfg)
+            resid = np.linalg.norm(np.matmul(a, state.theta[:, :, None])[..., 0] - y, axis=1)
+            assert state.converged.all(), f"batch {b}"
+            assert np.all(resid <= cfg.feasibility_tol * np.linalg.norm(y, axis=1)), f"batch {b}"
+
+
+class TestRankDeficient:
+    def test_consistent_systems_converge(self):
+        ones = np.ones((4, 8))
+        rng = np.random.default_rng(18)
+        dup = rng.normal(size=(6, 16))
+        dup[3] = dup[1]
+        theta = np.zeros(16)
+        theta[[2, 9]] = [1.0, -2.0]
+        for a, y in ((ones, np.ones(4)), (dup, dup @ theta)):
+            res = solve_l1(a, None, y)
+            assert res.converged
+            assert np.linalg.norm(a @ res.theta_hat - y) <= 1e-10 * np.linalg.norm(y)
+        np.testing.assert_allclose(res.theta_hat, theta, atol=1e-6)
+
+    def test_inconsistent_system_returns_a_least_squares_point(self):
+        a, y = np.ones((4, 8)), np.arange(4.0)
+        res = solve_l1(a, None, y)
+        assert not res.converged
+        lsq = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert res.residual_l2 == pytest.approx(np.linalg.norm(a @ lsq - y), rel=1e-10)
+        np.testing.assert_allclose(a.T @ (a @ res.theta_hat - y), 0.0, atol=1e-10)
 
 
 class TestSolveL1:
