@@ -12,10 +12,12 @@ below convergence_tol or max_outer_iters is reached.
 Two initialization strategies are provided: separate per-slice recovery, and
 joint Kronecker recovery (block-diagonal sensing operator with a separable
 sparsity basis spanning all slices).  Both, and every outer iteration, solve
-on the same per-slice sensing matrices, drawn once per reconstruction.  The
-residual sweeps (the separate initialization and every outer iteration) run
-on the composed matrices Phi_s*Psi, composed once per reconstruction in
-place of the raw ones, after the Kronecker initialization has used them.
+on the same stack of composed matrices B_s = Phi_s*Psi_slice, drawn and
+composed once per reconstruction.  The residual sweeps (the separate
+initialization and every outer iteration) solve on B alone; the Kronecker
+initialization solves on B with only the cross-slice factor of the joint
+basis inside the operator, since blockdiag(Phi_s)*(Psi_cross (x) Psi_slice)
+= blockdiag(B_s)*(Psi_cross (x) I).
 """
 
 import time
@@ -104,38 +106,39 @@ def gain_db(mse_init: float, mse_final: float) -> float:
 # --- sensing-matrix provider ---------------------------------------------------
 
 class _PhiProvider:
-    """Hands out stacks of per-slice sensing matrices, caching when they fit.
+    """Hands out stacks of composed sensing matrices, caching when they fit.
 
-    It starts with the raw matrices Phi_s.  compose(basis) turns it, once per
-    reconstruction, into a provider of the composed matrices B_s = Phi_s*Psi:
-    the cached stack is overwritten in place, one slice at a time, so no
-    second stack is held; without a cache each chunk is composed as it is
-    drawn.  The residual sweeps solve on B, which leaves their inner
-    iterations free of transforms.
+    Every stack holds B_s = Phi_s*Psi for the slice basis Psi: each chunk of
+    raw matrices is overwritten in place as it is drawn, one slice at a time,
+    so no second stack is held.  The stack is drawn once per reconstruction
+    when it fits in cache_max_bytes, and chunk by chunk on every request
+    otherwise.  Every l1 solve of a reconstruction runs on B, which leaves
+    the sweeps' inner iterations free of transforms and the Kronecker
+    initialization with only its cross-slice factor.
     """
 
-    def __init__(self, ensemble: sensing.SeededSensingEnsemble, cache_max_bytes: int):
+    def __init__(self, ensemble: sensing.SeededSensingEnsemble, basis: SparsityBasis,
+                 cache_max_bytes: int = MATRIX_CACHE_BYTES):
+        if basis.size != ensemble.n:
+            raise ValueError(f"basis size {basis.size} does not match slice length {ensemble.n}")
         self.ensemble = ensemble
-        self.basis: SparsityBasis | None = None
-        total = ensemble.num_slices * ensemble.m * ensemble.n * 8
-        self._full = sensing.draw_sensing_stack(ensemble, 0, ensemble.num_slices) \
-            if total <= cache_max_bytes else None
-
-    def compose(self, basis: SparsityBasis) -> None:
-        """Hand out Phi_s*Psi from now on; repeating the same basis is a no-op."""
-        if self.basis is not None:
-            if basis != self.basis:
-                raise ValueError("sensing matrices are already composed with another basis")
-            return
         self.basis = basis
-        if self._full is not None:
-            _compose_in_place(basis, self._full)
+        total = ensemble.num_slices * ensemble.m * ensemble.n * 8
+        self._full = self._draw(0, ensemble.num_slices) if total <= cache_max_bytes else None
+
+    def _draw(self, start: int, stop: int) -> np.ndarray:
+        return _compose_in_place(self.basis, sensing.draw_sensing_stack(self.ensemble, start, stop))
+
+    def require(self, basis: SparsityBasis) -> None:
+        """Refuse a solve whose slice basis is not the one the stack holds."""
+        if (basis.dims, basis.factors) != (self.basis.dims, self.basis.factors):
+            raise ValueError(f"the sensing matrices are composed with a {self.basis.factors} basis "
+                             f"over {self.basis.dims}, not {basis.factors} over {basis.dims}")
 
     def stack(self, start: int, stop: int) -> np.ndarray:
         if self._full is not None:
             return self._full[start:stop]
-        phi = sensing.draw_sensing_stack(self.ensemble, start, stop)
-        return phi if self.basis is None else _compose_in_place(self.basis, phi)
+        return self._draw(start, stop)
 
     def chunk_length(self) -> int:
         if self._full is not None:
@@ -188,7 +191,6 @@ def _container(signal: np.ndarray, layout: Layout):
 
 def _residual_sweep(
     ms: MeasurementSet,
-    basis: SparsityBasis,
     solver_cfg: SolveConfig,
     pred_signal: np.ndarray,
     provider: _PhiProvider,
@@ -197,16 +199,15 @@ def _residual_sweep(
 ) -> tuple[np.ndarray, list[int]]:
     """Correct predicted slices [solve_lo, solve_hi) against their measurements.
 
-    Works in coefficients on the composed matrices B_s = Phi_s*Psi (the
-    provider is composed with basis on the first call): the prediction's
-    coefficients c give e_y = y - B c, and the l1 solve on B recovers the
-    error's coefficients.  Slices outside the range keep the prediction
-    unchanged.  Returns the updated signal and the indices of slices whose
-    solve did not converge.
+    Works in coefficients of the provider's slice basis Psi on the composed
+    matrices B_s = Phi_s*Psi: the prediction's coefficients c give
+    e_y = y - B c, and the l1 solve on B recovers the error's coefficients.
+    Slices outside the range keep the prediction unchanged.  Returns the
+    updated signal and the indices of slices whose solve did not converge.
     """
     ens = ms.ensemble
     solve_hi = ens.num_slices if solve_hi is None else solve_hi
-    provider.compose(basis)
+    basis = provider.basis
     pred_slices = sensing.slices_of(pred_signal, ms.layout)
     new_slices = pred_slices.copy()
     warnings: list[int] = []
@@ -237,17 +238,17 @@ def init_separate(
 ):
     """Recover every slice independently by l1 minimization.
 
-    provider hands out the sensing matrices (a reconstruction passes its own;
-    one is built when None).  Returns (signal container, list of slice
-    indices that failed to converge; those keep their best iterates).
+    provider hands out the sensing matrices composed with basis (a
+    reconstruction passes its own; one is built when None).  Returns (signal
+    container, list of slice indices that failed to converge; those keep
+    their best iterates).
     """
     basis = basis or slice_basis_for(ms)
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
-    if basis.size != ms.ensemble.n:
-        raise ValueError(f"basis size {basis.size} does not match slice length {ms.ensemble.n}")
-    provider = provider or _PhiProvider(ms.ensemble, MATRIX_CACHE_BYTES)
+    provider = provider or _PhiProvider(ms.ensemble, basis)
+    provider.require(basis)
     zero = np.zeros(ms.signal_shape)
-    signal, warnings = _residual_sweep(ms, basis, solver_cfg, zero, provider)
+    signal, warnings = _residual_sweep(ms, solver_cfg, zero, provider)
     return _container(signal, ms.layout), warnings
 
 
@@ -260,10 +261,12 @@ def init_kcs(
 ):
     """Joint recovery of all slices through the block-diagonal sensing operator.
 
-    basis is the joint separable basis (defaults to DCT factors on every
-    axis); solves a single stacked l1 problem on the whole stack of sensing
-    matrices and reshapes the result.  provider is as in init_separate, and
-    must not be composed yet: the joint solve runs on the raw matrices.
+    basis is the joint separable basis, slice axis last (defaults to DCT
+    factors on every axis); its leading axes are the slice basis Psi_slice.
+    Solves a single stacked l1 problem on the composed stack
+    B_s = Phi_s*Psi_slice, with only the cross-slice factor inside the
+    operator, and synthesizes the result with the full joint basis.
+    provider is as in init_separate and must be composed with Psi_slice.
     Returns (signal container, converged flag).
     """
     ens = ms.ensemble
@@ -276,12 +279,14 @@ def init_kcs(
     basis = basis or kcs_basis_for(ms, slice_basis_for(ms))
     if basis.size != unknowns:
         raise ValueError(f"joint basis size {basis.size} does not match {unknowns} unknowns")
+    slice_basis, cross = transforms.split_slice_axis(basis, ens.num_slices)
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
-    provider = provider or _PhiProvider(ens, MATRIX_CACHE_BYTES)
-    if provider.basis is not None:
-        raise ValueError("init_kcs needs the raw sensing matrices; the provider is already composed")
-    phi = provider.stack(0, ens.num_slices)
-    state = solvers.solve_l1_batch(phi, basis, ms.y.reshape(1, -1), solver_cfg)
+    provider = provider or _PhiProvider(ens, slice_basis)
+    provider.require(slice_basis)
+    cross_only = SparsityBasis(basis.kind, basis.dims,
+                               (transforms.IDENTITY,) * len(slice_basis.dims) + (cross,))
+    b = provider.stack(0, ens.num_slices)
+    state = solvers.solve_l1_batch(b, cross_only, ms.y.reshape(1, -1), solver_cfg)
     slices = transforms.synthesize(basis, state.theta).reshape(ens.num_slices, ens.n)
     signal = sensing.signal_from_slices(slices, ms.layout, ms.signal_shape)
     return _container(signal, ms.layout), bool(state.converged[0])
@@ -351,7 +356,7 @@ def _run_iterations(ms, basis, cfg, initial, predict, solve_range, ground_truth)
         if x0.shape != ms.signal_shape:
             raise ValueError(f"initial shape {x0.shape} does not match {ms.signal_shape}")
     t0 = time.perf_counter()
-    provider = _PhiProvider(ms.ensemble, MATRIX_CACHE_BYTES)
+    provider = _PhiProvider(ms.ensemble, basis)
     if initial is None:
         x0, init_warnings = _initialize(ms, basis, cfg, provider)
     else:
@@ -374,7 +379,7 @@ def _run_iterations(ms, basis, cfg, initial, predict, solve_range, ground_truth)
     for it in range(1, cfg.max_outer_iters + 1):
         x_prev = x
         pred = predict(x_prev)
-        x, sweep_warn = _residual_sweep(ms, basis, cfg.solver, pred, provider, lo, hi)
+        x, sweep_warn = _residual_sweep(ms, cfg.solver, pred, provider, lo, hi)
         warnings.extend((it, w) for w in sweep_warn)
         iterations = it
 

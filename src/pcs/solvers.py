@@ -6,7 +6,10 @@ solve runs on one operator, BatchedOperator: a stack of per-slice sensing
 matrices composed with an orthonormal basis that spans either one slice
 (independent per-slice problems) or the whole stacked vector (one joint
 Kronecker problem).  A caller that holds the composed stack A*Psi passes it
-with basis None; the reconstruction sweeps do this.
+with basis None; the reconstruction sweeps do this.  The Kronecker
+initialization passes the composed stack with the joint basis whose
+per-slice factors are the identity, so only the cross-slice factor stays
+inside the operator.
 
 One function (_solve_batch) picks the algorithm.  An equality-constrained
 problem on an explicit stack (basis None) runs ADMM on the exact projection
@@ -109,6 +112,14 @@ class BatchedOperator:
     measurement rows (S, m).  A basis of size S*n makes one joint problem
     (Kronecker CS): forward synthesizes the stacked vector (1, S*n), applies
     each slice's matrix to its segment and returns (1, S*m).
+
+    A joint basis must put the slice axis last: it is then Psi_cross (x)
+    Psi_slice, and blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
+    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  The cross-slice factor is
+    applied as one S x S matrix product on the (S, n) array of segments, and
+    the per-slice part through transforms only where its factors are not all
+    identity; a caller that holds the composed stack Phi_s*Psi_slice passes
+    the joint basis with identity per-slice factors and runs no transform.
     """
 
     def __init__(self, phi: np.ndarray, basis: SparsityBasis | None):
@@ -116,26 +127,45 @@ class BatchedOperator:
         self.basis = basis
         slices, m, n = self.phi.shape
         size = n if basis is None else basis.size
+        self._cross = None
         if size == n:
             self.joint, self.batch, self.m = False, slices, m
+            self._slice_basis = basis
         elif size == slices * n:
             self.joint, self.batch, self.m = True, 1, slices * m
+            self._slice_basis, cross = transforms.split_slice_axis(basis, slices)
+            if cross == transforms.DCT:
+                self._cross = transforms.dct_matrix(slices)
         else:
             raise ValueError(
                 f"basis size {size} matches neither n={n} nor {slices} slices of n ({slices * n})"
             )
+        if self._slice_basis is not None and all(f == transforms.IDENTITY
+                                                 for f in self._slice_basis.factors):
+            self._slice_basis = None
         self.n = size
 
+    def synthesize(self, theta: np.ndarray) -> np.ndarray:
+        """Coefficients (batch, n) -> per-slice signals (S, n_slice)."""
+        x = theta.reshape(self.phi.shape[0], self.phi.shape[2])
+        if self._cross is not None:
+            x = self._cross.T @ x
+        return x if self._slice_basis is None else transforms.synthesize(self._slice_basis, x)
+
+    def analyze(self, x: np.ndarray) -> np.ndarray:
+        """Per-slice signals (S, n_slice) -> coefficients (batch, n); inverse of synthesize."""
+        if self._slice_basis is not None:
+            x = transforms.analyze(self._slice_basis, x)
+        if self._cross is not None:
+            x = self._cross @ x
+        return x.reshape(self.batch, self.n)
+
     def forward(self, theta: np.ndarray) -> np.ndarray:
-        x = theta if self.basis is None else transforms.synthesize(self.basis, theta)
-        slices, _, n = self.phi.shape
-        return np.matmul(self.phi, x.reshape(slices, n, 1))[..., 0].reshape(self.batch, self.m)
+        return np.matmul(self.phi, self.synthesize(theta)[:, :, None])[..., 0].reshape(self.batch, self.m)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         slices, m, _ = self.phi.shape
-        x = np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0]
-        x = x.reshape(self.batch, self.n)
-        return x if self.basis is None else transforms.analyze(self.basis, x)
+        return self.analyze(np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0])
 
     def take(self, idx: np.ndarray) -> "BatchedOperator":
         """Operator over problems idx; a joint operator holds only problem 0."""
@@ -194,8 +224,7 @@ def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> 
     y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
     slices, m, _ = op.phi.shape
     x = np.array([np.linalg.lstsq(p, v, rcond=None)[0] for p, v in zip(op.phi, y.reshape(slices, m))])
-    x = x.reshape(op.batch, op.n)
-    theta = x if op.basis is None else transforms.analyze(op.basis, x)
+    theta = op.analyze(x)
     residual = np.linalg.norm(op.forward(theta) - y, axis=1)
     objective = np.abs(theta).sum(axis=1)
     bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * np.linalg.norm(y, axis=1)
@@ -224,14 +253,15 @@ def _start(op, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, BatchSolveState]:
     return y, ynorm, state
 
 
-def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_trace, last):
+def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_trace, final):
     """One residual check of the active problems work; returns (done, l1).
 
     cand is each problem's candidate on the normalized problem and res its
     residual at the caller's scale.  A feasible candidate with a lower l1
     than the problem's best replaces it; done marks the problems that are
     feasible and whose l1 changed by at most objective_tol since the last
-    check.  At the cap a problem never feasible keeps its last candidate.
+    check.  final (a flag, or a mask over work) marks the problems checked
+    for the last time: one never feasible keeps its candidate.
     """
     obj = np.abs(cand).sum(axis=1) * yscale
     state.iterations[work] = k
@@ -246,12 +276,11 @@ def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_
     state.residual[gidx] = res[improve]
     rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
     done = feas & np.isfinite(prev_obj) & (rel_dec <= cfg.objective_tol)
-    if last:
-        miss = ~np.isfinite(state.objective[work])
-        gmiss = work[miss]
-        state.theta[gmiss] = cand[miss] * yscale[miss, None]
-        state.objective[gmiss] = obj[miss]
-        state.residual[gmiss] = res[miss]
+    miss = final & ~np.isfinite(state.objective[work])
+    gmiss = work[miss]
+    state.theta[gmiss] = cand[miss] * yscale[miss, None]
+    state.objective[gmiss] = obj[miss]
+    state.residual[gmiss] = res[miss]
     return done, obj
 
 
@@ -292,10 +321,13 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     applies P through a BatchedOperator over Q^T, so it needs no power
     iteration and no step sizes.  At each check the candidate is P(z), which
     meets the constraints to rounding; a problem is done, and converged, when
-    it is feasible and its l1 has plateaued.  A done problem leaves the
-    working set and its Q^T rows are overwritten by compaction in place, so
-    every row operation is per problem and a result is bit-identical alone or
-    in any batch.  The reported residual is recomputed on the caller's stack.
+    it is feasible and its l1 has plateaued.  A problem whose measurements
+    lie farther from the range of its matrix than the bound (gap) can never
+    be feasible: it leaves at its first check with its least-squares
+    candidate, not converged.  A problem that leaves the working set has its
+    Q^T rows overwritten by compaction in place, so every row operation is
+    per problem and a result is bit-identical alone or in any batch.  The
+    reported residual is recomputed on the caller's stack.
     """
     y, ynorm, state = _start(op, y)
     bound = cfg.feasibility_tol * ynorm
@@ -323,10 +355,11 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
             u += x - z
             last = k == cfg.max_solver_iters
             if k % _CHECK_EVERY == 0 or last:
+                infeasible = gap * yscale > bound[work]
                 done, prev_obj = _record_check(state, k, work, project(z), gap * yscale, yscale,
-                                               bound, prev_obj, cfg, keep_trace, last)
+                                               bound, prev_obj, cfg, keep_trace, last | infeasible)
                 stopped[work[done]] = True
-                kidx = np.flatnonzero(~done)
+                kidx = np.flatnonzero(~(done | infeasible))
                 if last or kidx.size == 0:
                     break
                 if kidx.size < work.size:

@@ -69,6 +69,24 @@ def separable3d_basis(d0: int, d1: int, d2: int, factors=(DCT, DCT, DCT)) -> Spa
     return SparsityBasis("Separable3D", (d0, d1, d2), tuple(factors))
 
 
+def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, str]:
+    """(the per-slice basis, the cross-slice factor) of a joint basis.
+
+    A joint basis over stacked slices puts the slice axis last, so it is the
+    Kronecker product of that axis's factor (across slices) with the basis
+    over the leading axes (within a slice).  Any other basis is refused.
+    """
+    if len(basis.dims) < 2 or basis.dims[-1] != slices:
+        raise ValueError(f"a joint basis needs the slice axis last: dims {basis.dims} "
+                         f"do not end with {slices} slices")
+    dims, factors = basis.dims[:-1], basis.factors[:-1]
+    if len(dims) == 1:
+        kind = "DCT1D" if factors[0] == DCT else "Identity"
+    else:
+        kind = _KINDS[len(dims)]
+    return SparsityBasis(kind, dims, factors), basis.factors[-1]
+
+
 def _check_length(basis: SparsityBasis, v: np.ndarray) -> None:
     if v.shape[-1] != basis.size:
         raise ValueError(
@@ -106,7 +124,9 @@ def dct_matrix(n: int) -> np.ndarray:
     """Dense orthonormal DCT-II analysis matrix, built from its definition.
 
     Row k is sqrt(2/n)*cos(pi*(2j+1)*k/(2n)) with the k=0 row scaled by
-    1/sqrt(2).  Used as an independent oracle against the fast transform.
+    1/sqrt(2).  It is the cross-slice factor of the joint sensing operator
+    (solvers.BatchedOperator), where one S x S product beats a transform call
+    on a short axis, and an independent oracle against the fast transform.
     """
     j = np.arange(n)
     k = np.arange(n)[:, None]

@@ -309,9 +309,9 @@ def test_criterion_7_invariant_suite():
     img = dataio.synth_image(13, 16, 16)
     ens2 = SeededSensingEnsemble(14, 16, 8, 16)
     ms = acquire_rows_2d(img, ens2)
-    provider = recon._PhiProvider(ens2, 1 << 28)
+    provider = recon._PhiProvider(ens2, recon.slice_basis_for(ms))
     cfg = SolveConfig()
-    new, _ = recon._residual_sweep(ms, recon.slice_basis_for(ms), cfg, img.samples, provider)
+    new, _ = recon._residual_sweep(ms, cfg, img.samples, provider)
     checks["fixed_point_at_truth"] = np.linalg.norm(new - img.samples) <= 10 * cfg.feasibility_tol
 
     checks["benchmark_determinism"] = _benchmark_reproduces()

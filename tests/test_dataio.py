@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pcs.dataio import (
     CubeHeader,
@@ -67,6 +73,16 @@ class TestCubeFiles:
         save_cube(cube, path)
         back = load_cube(path)
         assert np.array_equal(back.samples, cube.samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(samples=arrays(np.float64, st.tuples(*[st.integers(1, 5)] * 3),
+                          elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_f64_round_trip_property(self, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.pcs3"
+            save_cube(Cube3D(samples), path)
+            back = load_cube(path, CubeHeader(*samples.shape, "f64le"))
+        assert np.array_equal(back.samples, samples)
 
     def test_u16_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(2)

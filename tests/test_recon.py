@@ -16,7 +16,7 @@ from pcs.recon import (
     reconstruct_3d,
     slice_basis_for,
 )
-from pcs.sensing import SeededSensingEnsemble, acquire_bands_3d, acquire_rows_2d
+from pcs.sensing import SeededSensingEnsemble, acquire_bands_3d, acquire_rows_2d, acquire_spectral_rows_3d
 from pcs.signals import Cube3D, Image2D
 from pcs.solvers import SolveConfig
 
@@ -118,6 +118,37 @@ class TestInitKCS:
         with pytest.raises(ValueError):
             init_kcs(ms, max_unknowns=16)
 
+    @pytest.mark.parametrize("acquire, scene, ens", [
+        (acquire_rows_2d, lambda: dataio.synth_image(70, 8, 16), SeededSensingEnsemble(71, 8, 6, 16)),
+        (acquire_bands_3d, lambda: dataio.synth_cube(72, 6, 6, 4), SeededSensingEnsemble(73, 4, 12, 36)),
+        (acquire_spectral_rows_3d, lambda: dataio.synth_cube(74, 4, 6, 3),
+         SeededSensingEnsemble(75, 4, 6, 18)),
+    ], ids=["rows2d", "bands3d", "spectral_rows3d"])
+    def test_matches_the_joint_solve_on_raw_matrices(self, monkeypatch, acquire, scene, ens):
+        # the composed stack with only the cross-slice factor inside the
+        # operator poses the same problem as the raw stack with the full basis
+        ms = acquire(scene(), ens)
+        joint = kcs_basis_for(ms, slice_basis_for(ms))
+        raw = solvers.solve_l1_batch(sensing.draw_sensing_stack(ens, 0, ens.num_slices), joint,
+                                     ms.y.reshape(1, -1), recon.DEFAULT_SWEEP_SOLVER)
+        want = sensing.signal_from_slices(
+            transforms.synthesize(joint, raw.theta).reshape(ens.num_slices, ens.n), ms.layout,
+            ms.signal_shape)
+        states = []
+        solve = solvers.solve_l1_batch
+        monkeypatch.setattr(solvers, "solve_l1_batch", lambda *a: states.append(solve(*a)) or states[-1])
+        rec, conv = init_kcs(ms)
+        assert np.linalg.norm(rec.samples - want) <= 1e-10 * np.linalg.norm(want)
+        assert states[0].iterations[0] == raw.iterations[0]
+        assert conv == states[0].converged[0] == raw.converged[0]
+
+    def test_non_kronecker_joint_basis_rejected(self):
+        cube = dataio.synth_cube(76, 4, 4, 3)
+        ms = acquire_bands_3d(cube, SeededSensingEnsemble(77, 3, 8, 16))
+        for joint in (transforms.dct1d_basis(48), transforms.separable3d_basis(3, 4, 4)):
+            with pytest.raises(ValueError, match="slice axis"):
+                init_kcs(ms, joint)
+
 
 class TestReconstruct2D:
     def test_fixed_point_at_truth_square_system(self):
@@ -146,9 +177,9 @@ class TestReconstruct2D:
         img = dataio.synth_image(13, 16, 16)
         ens = SeededSensingEnsemble(14, 16, 8, 16)
         ms = acquire_rows_2d(img, ens)
-        provider = recon._PhiProvider(ens, 1 << 28)
+        provider = recon._PhiProvider(ens, slice_basis_for(ms))
         cfg = SolveConfig()
-        new, warnings = recon._residual_sweep(ms, slice_basis_for(ms), cfg, img.samples, provider)
+        new, warnings = recon._residual_sweep(ms, cfg, img.samples, provider)
         assert not warnings
         assert np.linalg.norm(new - img.samples) <= 10 * cfg.feasibility_tol
 
@@ -335,33 +366,33 @@ class TestComposedProvider:
     def _scene():
         img = dataio.synth_image(60, 12, 16)
         ms = acquire_rows_2d(img, SeededSensingEnsemble(61, 12, 6, 16))
-        return img, ms, recon._PhiProvider(ms.ensemble, recon.MATRIX_CACHE_BYTES)
+        return img, ms, recon._PhiProvider(ms.ensemble, slice_basis_for(ms))
 
     @pytest.mark.parametrize("cache_bytes", [recon.MATRIX_CACHE_BYTES, 0])
     def test_compose_analyzes_every_row(self, cache_bytes):
         _, ms, _ = self._scene()
-        provider = recon._PhiProvider(ms.ensemble, cache_bytes)
         basis = slice_basis_for(ms)
+        provider = recon._PhiProvider(ms.ensemble, basis, cache_bytes)
         phi = sensing.draw_sensing_stack(ms.ensemble, 0, 12)
-        provider.compose(basis)
         want = transforms.analyze(basis, phi.reshape(-1, 16)).reshape(phi.shape)
         np.testing.assert_allclose(provider.stack(0, 12), want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(provider.stack(3, 7), want[3:7], rtol=0, atol=1e-12)
 
-    def test_compose_is_idempotent_and_refuses_another_basis(self):
+    def test_provider_refuses_another_slice_basis(self):
         _, ms, provider = self._scene()
-        basis = slice_basis_for(ms)
-        provider.compose(basis)
-        once = provider.stack(0, 12).copy()
-        provider.compose(basis)
-        assert np.array_equal(provider.stack(0, 12), once)
-        with pytest.raises(ValueError, match="another basis"):
-            provider.compose(transforms.identity_basis(16))
+        provider.require(transforms.dct1d_basis(16))
+        with pytest.raises(ValueError, match="composed with"):
+            provider.require(transforms.identity_basis(16))
+        with pytest.raises(ValueError, match="composed with"):
+            init_separate(ms, transforms.identity_basis(16), provider=provider)
+        with pytest.raises(ValueError, match="basis size"):
+            recon._PhiProvider(ms.ensemble, transforms.dct1d_basis(12))
 
-    def test_init_kcs_refuses_composed_provider(self):
-        _, ms, provider = self._scene()
-        provider.compose(slice_basis_for(ms))
-        with pytest.raises(ValueError, match="composed"):
+    def test_init_kcs_refuses_a_provider_of_another_slice_basis(self):
+        # the default joint basis has a DCT per-slice factor
+        _, ms, _ = self._scene()
+        provider = recon._PhiProvider(ms.ensemble, transforms.identity_basis(16))
+        with pytest.raises(ValueError, match="composed with"):
             init_kcs(ms, provider=provider)
 
     def test_sweep_transform_count_does_not_grow_with_iterations(self, monkeypatch):
@@ -372,10 +403,10 @@ class TestComposedProvider:
             monkeypatch.setattr(transforms, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
         counts = []
         for iters in (50, 500):
-            provider = recon._PhiProvider(ms.ensemble, recon.MATRIX_CACHE_BYTES)
+            provider = recon._PhiProvider(ms.ensemble, slice_basis_for(ms))
             calls.clear()
-            recon._residual_sweep(ms, slice_basis_for(ms), SolveConfig(max_solver_iters=iters),
-                                  0.9 * img.samples, provider, 1, 11)
+            recon._residual_sweep(ms, SolveConfig(max_solver_iters=iters), 0.9 * img.samples,
+                                  provider, 1, 11)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -392,9 +423,8 @@ class TestComposedProvider:
             return state
 
         monkeypatch.setattr(solvers, "solve_l1_batch", checking_solve)
-        basis = slice_basis_for(ms)
         for _ in range(2):
-            recon._residual_sweep(ms, basis, SolveConfig(max_solver_iters=50), 0.9 * img.samples, provider)
+            recon._residual_sweep(ms, SolveConfig(max_solver_iters=50), 0.9 * img.samples, provider)
         full = provider.stack(0, 12)
         assert len(seen) == 2
         assert all(np.shares_memory(phi, full) for phi in seen)

@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcs import sensing
 from pcs.sensing import (
@@ -20,6 +24,22 @@ from pcs.sensing import (
     save_measurements,
 )
 from pcs.signals import Cube3D, Image2D
+
+dims = st.integers(1, 5)
+
+
+@st.composite
+def layouts_and_shapes(draw):
+    layout = draw(st.sampled_from(list(Layout)))
+    shape = (draw(dims), draw(dims)) if layout == Layout.ROWS_2D else (draw(dims), draw(dims), draw(dims))
+    return layout, shape
+
+
+def slice_count_and_length(layout, shape):
+    if layout == Layout.ROWS_2D:
+        return shape
+    rows, cols, bands = shape
+    return (bands, rows * cols) if layout == Layout.BANDS_3D else (rows, cols * bands)
 
 
 class TestDrawSensingMatrix:
@@ -173,6 +193,18 @@ def test_acquisition_is_linear(layout):
     assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=layouts_and_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_slices_round_trip(case, seed):
+    layout, shape = case
+    signal = np.random.default_rng(seed).normal(size=shape)
+    slices = sensing.slices_of(signal, layout)
+    assert slices.shape == slice_count_and_length(layout, shape)
+    assert np.array_equal(sensing.signal_from_slices(slices, layout, shape), signal)
+    other = np.random.default_rng(seed + 1).normal(size=slices.shape)
+    assert np.array_equal(sensing.slices_of(sensing.signal_from_slices(other, layout, shape), layout), other)
+
+
 class TestBlockDiag:
     def test_single_slice_degenerates_to_matrix(self):
         ens = SeededSensingEnsemble(4, 1, 3, 7)
@@ -245,6 +277,25 @@ class TestMeasurementFile:
         back = load_measurements(path)
         assert np.array_equal(back.y, ms.y)
         assert back.signal_shape == (2, 4, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=layouts_and_shapes(), seed=st.integers(0, 2**64 - 1), flags=st.integers(0, 3),
+           m=st.integers(1, 8))
+    def test_round_trip_property(self, case, seed, flags, m):
+        layout, shape = case
+        num_slices, n = slice_count_and_length(layout, shape)
+        ens = SeededSensingEnsemble(seed, num_slices, m, n, shared_matrix=bool(flags & 1),
+                                    non_compressive=bool(flags & 2) or m >= n)
+        y = np.random.default_rng(seed).normal(size=(num_slices, m)) * 10.0 ** (seed % 7 - 3)
+        ms = MeasurementSet(y, ens, layout, shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.pcsm"
+            save_measurements(ms, path)
+            back = load_measurements(path)
+        assert np.array_equal(back.y, ms.y)
+        assert back.ensemble == ms.ensemble
+        assert back.layout == ms.layout
+        assert back.signal_shape == ms.signal_shape
 
     def test_byte_identical_files(self, tmp_path):
         ens = SeededSensingEnsemble(77, 4, 3, 8)

@@ -64,6 +64,33 @@ class TestBatchedOperator:
         w = np.random.default_rng(9).normal(size=slices * m)
         np.testing.assert_allclose(op.adjoint(w[None])[0], dense.T @ w, atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(2, 5), m=st.integers(1, 6),
+           d0=st.integers(1, 5), d1=st.integers(1, 4),
+           factors=st.tuples(*[st.sampled_from((tr.IDENTITY, tr.DCT))] * 3))
+    def test_composed_stack_with_cross_factor_only_matches_raw(self, seed, slices, m, d0, d1, factors):
+        # blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I)
+        phi = random_stack(seed, slices, m, d0 * d1)
+        joint = tr.separable3d_basis(d0, d1, slices, factors)
+        slice_basis, cross = tr.split_slice_axis(joint, slices)
+        composed = tr.analyze(slice_basis, phi)
+        cross_only = tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, cross))
+        raw_op, op = BatchedOperator(phi, joint), BatchedOperator(composed, cross_only)
+        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        rng = np.random.default_rng(seed + 1)
+        theta = rng.normal(size=(1, op.n))
+        w = rng.normal(size=(1, op.m))
+        for fwd in (op.forward(theta), raw_op.forward(theta)):
+            np.testing.assert_allclose(fwd[0], dense @ theta[0], rtol=0, atol=1e-12)
+        for adj in (op.adjoint(w), raw_op.adjoint(w)):
+            np.testing.assert_allclose(adj[0], dense.T @ w[0], rtol=0, atol=1e-12)
+
+    def test_joint_basis_without_the_slice_axis_last_rejected(self):
+        phi = random_stack(12, 3, 4, 8)
+        for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), tr.separable3d_basis(3, 2, 4)):
+            with pytest.raises(ValueError, match="slice axis last"):
+                BatchedOperator(phi, basis)
+
     def test_basis_of_other_size_rejected(self):
         phi = random_stack(10, 3, 4, 8)
         for size in (7, 16, 25):
@@ -215,6 +242,12 @@ class TestRankDeficient:
         lsq = np.linalg.lstsq(a, y, rcond=None)[0]
         assert res.residual_l2 == pytest.approx(np.linalg.norm(a @ lsq - y), rel=1e-10)
         np.testing.assert_allclose(a.T @ (a @ res.theta_hat - y), 0.0, atol=1e-10)
+
+    def test_inconsistent_system_stops_at_its_first_check(self):
+        # its distance from the range is measured before the first iteration
+        res = solve_l1(np.ones((4, 8)), None, np.arange(4.0))
+        assert not res.converged
+        assert res.iterations <= 25
 
 
 class TestSolveL1:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcs import transforms as tr
 
@@ -70,6 +72,31 @@ class TestOrthonormality:
         x = seeded(3).normal(size=basis.size)
         ratio = np.linalg.norm(tr.analyze(basis, x)) / np.linalg.norm(x)
         assert abs(ratio - 1.0) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes=st.lists(st.tuples(st.integers(1, 9), st.sampled_from((tr.IDENTITY, tr.DCT))),
+                     min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3))
+def test_separable_round_trip_and_parseval_property(axes, seed, batch):
+    dims, factors = zip(*axes)
+    kind = ("DCT1D" if factors[0] == tr.DCT else "Identity") if len(dims) == 1 else \
+        ("Separable2D", "Separable3D")[len(dims) - 2]
+    basis = tr.SparsityBasis(kind, dims, factors)
+    theta = seeded(seed).normal(size=(batch, basis.size))
+    x = tr.synthesize(basis, theta)
+    np.testing.assert_allclose(tr.analyze(basis, x), theta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), np.linalg.norm(theta, axis=1), rtol=1e-12)
+
+
+def test_split_slice_axis():
+    per_slice, cross = tr.split_slice_axis(tr.separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6)
+    assert per_slice == tr.separable2d_basis(4, 5, (tr.IDENTITY, tr.DCT)) and cross == tr.DCT
+    assert tr.split_slice_axis(tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3) == \
+        (tr.dct1d_basis(7), tr.IDENTITY)
+    for basis, slices in ((tr.dct1d_basis(8), 8), (tr.separable2d_basis(7, 3), 7)):
+        with pytest.raises(ValueError, match="slice axis last"):
+            tr.split_slice_axis(basis, slices)
 
 
 @pytest.mark.parametrize(
