@@ -169,18 +169,14 @@ def slice_basis_for(ms: MeasurementSet, kind: str = transforms.DCT) -> SparsityB
 def kcs_basis_for(ms: MeasurementSet, slice_basis: SparsityBasis) -> SparsityBasis:
     """Joint separable basis over all stacked slices.
 
-    Within-slice factors are taken from the per-slice basis; the cross-slice
-    axis always gets a DCT factor, which is where the joint recovery gains
-    its inter-slice correlation modelling.
+    The per-slice basis gives the leading axes, dims and factors as they
+    are; the cross-slice axis, last, always gets a DCT factor, which is where
+    the joint recovery gains its inter-slice correlation modelling.
     """
-    f = slice_basis.factors
-    if ms.layout == Layout.ROWS_2D:
-        rows, cols = ms.signal_shape
-        return transforms.separable2d_basis(cols, rows, factors=(f[0], transforms.DCT))
-    rows, cols, bands = ms.signal_shape
-    if ms.layout == Layout.BANDS_3D:
-        return transforms.separable3d_basis(rows, cols, bands, factors=(f[0], f[1], transforms.DCT))
-    return transforms.separable3d_basis(cols, bands, rows, factors=(f[0], f[1], transforms.DCT))
+    if slice_basis.size != ms.ensemble.n:
+        raise ValueError(f"slice basis size {slice_basis.size} does not match "
+                         f"slice length {ms.ensemble.n}")
+    return transforms.join_slice_axis(slice_basis, ms.ensemble.num_slices, transforms.DCT)
 
 
 def _container(signal: np.ndarray, layout: Layout):

@@ -46,6 +46,10 @@ _RELAX = 1.9
 _ADMM_RHO = 8.0
 # Gram eigenvalues below this fraction of the largest are null directions
 _RANK_RTOL = 1e-10
+# a cross-slice DCT over at most this many slices is one dense S x S product;
+# above it the transform is cheaper (it overtook the product at 180 to 250
+# slices, for slice lengths 64 to 576, on a 2-vCPU x86 machine)
+_DENSE_CROSS_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,14 @@ class BatchedOperator:
 
     A joint basis must put the slice axis last: it is then Psi_cross (x)
     Psi_slice, and blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
-    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  The cross-slice factor is
-    applied as one S x S matrix product on the (S, n) array of segments, and
-    the per-slice part through transforms only where its factors are not all
-    identity; a caller that holds the composed stack Phi_s*Psi_slice passes
-    the joint basis with identity per-slice factors and runs no transform.
+    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A cross-slice DCT over at
+    most _DENSE_CROSS_MAX slices is applied as one S x S matrix product on
+    the (S, n) array of segments, and the per-slice part through transforms
+    only where its factors are not all identity; a caller that holds the
+    composed stack Phi_s*Psi_slice passes the joint basis with identity
+    per-slice factors and runs no transform.  Over more slices the S^2*n
+    product costs more than the transform, so the whole joint basis runs
+    through transforms.
     """
 
     def __init__(self, phi: np.ndarray, basis: SparsityBasis | None):
@@ -128,36 +135,39 @@ class BatchedOperator:
         slices, m, n = self.phi.shape
         size = n if basis is None else basis.size
         self._cross = None
+        part = basis
         if size == n:
             self.joint, self.batch, self.m = False, slices, m
-            self._slice_basis = basis
         elif size == slices * n:
             self.joint, self.batch, self.m = True, 1, slices * m
-            self._slice_basis, cross = transforms.split_slice_axis(basis, slices)
-            if cross == transforms.DCT:
-                self._cross = transforms.dct_matrix(slices)
+            slice_part, cross = transforms.split_slice_axis(basis, slices)
+            if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
+                part, self._cross = slice_part, transforms.dct_matrix(slices)
         else:
             raise ValueError(
                 f"basis size {size} matches neither n={n} nor {slices} slices of n ({slices * n})"
             )
-        if self._slice_basis is not None and all(f == transforms.IDENTITY
-                                                 for f in self._slice_basis.factors):
-            self._slice_basis = None
+        # the part of the basis applied through transforms, None when identity
+        self._transform = None if part is None or all(
+            f == transforms.IDENTITY for f in part.factors) else part
         self.n = size
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
         """Coefficients (batch, n) -> per-slice signals (S, n_slice)."""
-        x = theta.reshape(self.phi.shape[0], self.phi.shape[2])
+        slices, _, n = self.phi.shape
+        x = theta.reshape(slices, n)
         if self._cross is not None:
             x = self._cross.T @ x
-        return x if self._slice_basis is None else transforms.synthesize(self._slice_basis, x)
+        if self._transform is not None:
+            x = transforms.synthesize(self._transform, x.reshape(-1, self._transform.size))
+        return x.reshape(slices, n)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """Per-slice signals (S, n_slice) -> coefficients (batch, n); inverse of synthesize."""
-        if self._slice_basis is not None:
-            x = transforms.analyze(self._slice_basis, x)
+        if self._transform is not None:
+            x = transforms.analyze(self._transform, x.reshape(-1, self._transform.size))
         if self._cross is not None:
-            x = self._cross @ x
+            x = self._cross @ x.reshape(self.phi.shape[0], -1)
         return x.reshape(self.batch, self.n)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
@@ -347,6 +357,9 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         def project(v):
             return v - proj.adjoint(proj.forward(v) - yq)
 
+        # gap is fixed by the factorization: whether a problem can ever be
+        # feasible is known now, and one that cannot leaves at its first check
+        infeasible = gap * yscale > bound[work]
         k = 0
         while k < cfg.max_solver_iters:
             k += 1
@@ -355,7 +368,6 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
             u += x - z
             last = k == cfg.max_solver_iters
             if k % _CHECK_EVERY == 0 or last:
-                infeasible = gap * yscale > bound[work]
                 done, prev_obj = _record_check(state, k, work, project(z), gap * yscale, yscale,
                                                bound, prev_obj, cfg, keep_trace, last | infeasible)
                 stopped[work[done]] = True
@@ -364,6 +376,7 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                     break
                 if kidx.size < work.size:
                     work, yq, gap, yscale = work[kidx], yq[kidx], gap[kidx], yscale[kidx]
+                    infeasible = infeasible[kidx]
                     z, u, prev_obj = z[kidx], u[kidx], prev_obj[kidx]
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved

@@ -69,6 +69,14 @@ def separable3d_basis(d0: int, d1: int, d2: int, factors=(DCT, DCT, DCT)) -> Spa
     return SparsityBasis("Separable3D", (d0, d1, d2), tuple(factors))
 
 
+def _kind_for(factors: tuple[str, ...]) -> str:
+    if len(factors) == 1:
+        return "DCT1D" if factors[0] == DCT else "Identity"
+    if len(factors) >= len(_KINDS):
+        raise ValueError(f"no separable basis over {len(factors)} axes")
+    return _KINDS[len(factors)]
+
+
 def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, str]:
     """(the per-slice basis, the cross-slice factor) of a joint basis.
 
@@ -80,11 +88,13 @@ def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, 
         raise ValueError(f"a joint basis needs the slice axis last: dims {basis.dims} "
                          f"do not end with {slices} slices")
     dims, factors = basis.dims[:-1], basis.factors[:-1]
-    if len(dims) == 1:
-        kind = "DCT1D" if factors[0] == DCT else "Identity"
-    else:
-        kind = _KINDS[len(dims)]
-    return SparsityBasis(kind, dims, factors), basis.factors[-1]
+    return SparsityBasis(_kind_for(factors), dims, factors), basis.factors[-1]
+
+
+def join_slice_axis(slice_basis: SparsityBasis, slices: int, cross: str) -> SparsityBasis:
+    """The joint basis over slices stacked slices; inverse of split_slice_axis."""
+    factors = slice_basis.factors + (cross,)
+    return SparsityBasis(_kind_for(factors), slice_basis.dims + (slices,), factors)
 
 
 def _check_length(basis: SparsityBasis, v: np.ndarray) -> None:
@@ -125,8 +135,9 @@ def dct_matrix(n: int) -> np.ndarray:
 
     Row k is sqrt(2/n)*cos(pi*(2j+1)*k/(2n)) with the k=0 row scaled by
     1/sqrt(2).  It is the cross-slice factor of the joint sensing operator
-    (solvers.BatchedOperator), where one S x S product beats a transform call
-    on a short axis, and an independent oracle against the fast transform.
+    over a few slices (solvers.BatchedOperator), where one S x S product
+    beats a transform call on a short axis, and an independent oracle
+    against the fast transform.
     """
     j = np.arange(n)
     k = np.arange(n)[:, None]

@@ -456,6 +456,29 @@ class TestKCSBasis:
         y = sensing.block_diag_apply(ens, stacked)
         np.testing.assert_allclose(y, ms.y.reshape(-1), atol=1e-10)
 
+    @pytest.mark.parametrize("acquire, scene, ens, slice_basis, cfg", [
+        (acquire_rows_2d, lambda: dataio.synth_image(80, 6, 16), SeededSensingEnsemble(81, 6, 6, 16),
+         transforms.separable2d_basis(4, 4), ReconConfig(init=recon.INIT_KCS, max_outer_iters=1)),
+        (acquire_bands_3d, lambda: dataio.synth_cube(82, 4, 6, 3), SeededSensingEnsemble(83, 3, 10, 24),
+         transforms.separable2d_basis(6, 4),
+         ReconConfig(init=recon.INIT_KCS, filter=BlockLSPredictorConfig(), max_outer_iters=1)),
+    ], ids=["rows2d-separable-slice", "bands3d-cols-rows"])
+    def test_kcs_reconstruction_with_a_slice_basis_of_other_dims(self, acquire, scene, ens,
+                                                                 slice_basis, cfg):
+        # the joint basis extends the caller's slice basis, so it matches the
+        # provider the reconstruction composes with that basis
+        truth = scene()
+        ms = acquire(truth, ens)
+        joint = kcs_basis_for(ms, slice_basis)
+        assert joint.dims == slice_basis.dims + (ens.num_slices,)
+        assert joint.factors == slice_basis.factors + (transforms.DCT,)
+        run = reconstruct_2d if ms.layout == sensing.Layout.ROWS_2D else reconstruct_3d
+        rec, report = run(ms, slice_basis, cfg, ground_truth=truth)
+        assert rec.samples.shape == ms.signal_shape
+        assert np.isfinite(report.mse_trace).all()
+        with pytest.raises(ValueError, match="slice basis size"):
+            kcs_basis_for(ms, transforms.dct1d_basis(ens.n + 1))
+
     def test_rows2d_kcs_beats_separate_on_correlated_image(self):
         img = dataio.synth_image(47, 16, 16)
         ens = SeededSensingEnsemble(48, 16, 4, 16)  # m = n/4, rows correlated

@@ -85,6 +85,27 @@ class TestBatchedOperator:
         for adj in (op.adjoint(w), raw_op.adjoint(w)):
             np.testing.assert_allclose(adj[0], dense.T @ w[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("slices", [solvers._DENSE_CROSS_MAX, solvers._DENSE_CROSS_MAX + 1])
+    def test_cross_factor_on_both_sides_of_the_dense_limit(self, monkeypatch, slices):
+        # up to the limit the cross-slice DCT is a matrix product and the
+        # composed stack runs no transform; past it the transform runs
+        m, d0, d1 = 2, 2, 2
+        phi = random_stack(13, slices, m, d0 * d1)
+        joint = tr.separable3d_basis(d0, d1, slices)
+        composed = tr.analyze(tr.separable2d_basis(d0, d1), phi)
+        cross_only = tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, tr.DCT))
+        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        rng = np.random.default_rng(14)
+        theta, w = rng.normal(size=(1, slices * d0 * d1)), rng.normal(size=(1, slices * m))
+        calls = []
+        synthesize = tr.synthesize
+        monkeypatch.setattr(tr, "synthesize", lambda *a: calls.append(a) or synthesize(*a))
+        for op in (BatchedOperator(composed, cross_only), BatchedOperator(phi, joint)):
+            np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
+            if op.phi is composed:
+                assert len(calls) == (slices > solvers._DENSE_CROSS_MAX)
+
     def test_joint_basis_without_the_slice_axis_last_rejected(self):
         phi = random_stack(12, 3, 4, 8)
         for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), tr.separable3d_basis(3, 2, 4)):

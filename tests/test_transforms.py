@@ -99,6 +99,16 @@ def test_split_slice_axis():
             tr.split_slice_axis(basis, slices)
 
 
+def test_join_slice_axis_inverts_split():
+    for joint, slices in ((tr.separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6),
+                          (tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3),
+                          (tr.separable2d_basis(2, 9, (tr.IDENTITY, tr.DCT)), 9)):
+        per_slice, cross = tr.split_slice_axis(joint, slices)
+        assert tr.join_slice_axis(per_slice, slices, cross) == joint
+    with pytest.raises(ValueError, match="no separable basis over 4 axes"):
+        tr.join_slice_axis(tr.separable3d_basis(2, 3, 4), 5, tr.DCT)
+
+
 @pytest.mark.parametrize(
     "basis",
     [
