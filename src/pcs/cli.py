@@ -32,6 +32,13 @@ _LAYOUT_NAMES = {
     "spectralrows3d": Layout.SPECTRAL_ROWS_3D,
 }
 _FILTERS = {"p1": predictors.P1, "p2": predictors.P2, "p3": predictors.P3}
+# the sensing entry point of each layout, by module attribute name
+_ACQUIRE = {
+    Layout.ROWS_2D: "acquire_rows_2d",
+    Layout.BANDS_3D: "acquire_bands_3d",
+    Layout.SPECTRAL_ROWS_3D: "acquire_spectral_rows_3d",
+}
+_SCENARIO_LAYOUTS = {"2d": Layout.ROWS_2D, "3d": Layout.BANDS_3D, "3d_rows": Layout.SPECTRAL_ROWS_3D}
 _SLICE_NOUNS = {Layout.ROWS_2D: "rows", Layout.BANDS_3D: "bands", Layout.SPECTRAL_ROWS_3D: "spectral rows"}
 # unconverged solves named per stage by `reconstruct`; the rest are only counted
 _UNCONVERGED_LISTED = 10
@@ -123,38 +130,24 @@ def cmd_synth(args) -> int:
 
 # --- acquire ---------------------------------------------------------------------
 
+def _acquire(signal, layout: Layout, m: int, seed: int,
+             shared_matrix: bool = False, non_compressive: bool = False) -> sensing.MeasurementSet:
+    """Measure signal slice by slice through the sensing entry point of layout.
+
+    A 1-band cube serves as an image for rows2d.
+    """
+    if layout == Layout.ROWS_2D and isinstance(signal, Cube3D) and signal.n_bands == 1:
+        signal = Image2D(signal.samples[:, :, 0])
+    num_slices, n = sensing.slice_geometry(layout, signal.samples.shape)
+    ensemble = sensing.SeededSensingEnsemble(seed, num_slices, m, n, shared_matrix, non_compressive)
+    # looked up at call time, so that a wrapper installed on the module is seen
+    return getattr(sensing, _ACQUIRE[layout])(signal, ensemble)
+
+
 def cmd_acquire(args) -> int:
-    layout = _LAYOUT_NAMES[args.layout]
-    signal = _load_signal(args.input)
-    if layout == Layout.ROWS_2D:
-        if isinstance(signal, Cube3D):
-            if signal.n_bands != 1:
-                return _fail("rows2d layout needs a 2D image (or a 1-band cube)")
-            signal = Image2D(signal.samples[:, :, 0])
-        num_slices, n = signal.n_rows, signal.n_cols
-    else:
-        if isinstance(signal, Image2D):
-            return _fail(f"{args.layout} layout needs a 3D cube input")
-        if layout == Layout.BANDS_3D:
-            num_slices, n = signal.n_bands, signal.n_rows * signal.n_cols
-        else:
-            num_slices, n = signal.n_rows, signal.n_cols * signal.n_bands
-    if args.m >= n and not args.non_compressive:
-        return _fail(f"m={args.m} >= slice length {n}; pass --non-compressive for the reference mode")
-    ensemble = sensing.SeededSensingEnsemble(
-        master_seed=args.seed,
-        num_slices=num_slices,
-        m=args.m,
-        n=n,
-        shared_matrix=args.shared_matrix,
-        non_compressive=args.non_compressive,
-    )
-    if layout == Layout.ROWS_2D:
-        ms = sensing.acquire_rows_2d(signal, ensemble)
-    elif layout == Layout.BANDS_3D:
-        ms = sensing.acquire_bands_3d(signal, ensemble)
-    else:
-        ms = sensing.acquire_spectral_rows_3d(signal, ensemble)
+    ms = _acquire(_load_signal(args.input), _LAYOUT_NAMES[args.layout], args.m, args.seed,
+                  args.shared_matrix, args.non_compressive)
+    num_slices, n = ms.ensemble.num_slices, ms.ensemble.n
     out = Path(args.output)
     sensing.save_measurements(ms, out)
     manifest = RunManifest(
@@ -180,36 +173,41 @@ def cmd_acquire(args) -> int:
 
 # --- reconstruct --------------------------------------------------------------------
 
-def _recon_config(args, layout) -> ReconConfig:
-    if args.filter == "blockls":
-        if layout != Layout.BANDS_3D:
-            raise ValueError("blockls filter only applies to bands3d measurements")
-        flt = BlockLSPredictorConfig(block_size=args.block_size)
+def _recon_config(opts: dict) -> ReconConfig:
+    """ReconConfig from reconstruct options: parsed flags or a benchmark cell."""
+    if opts["filter"] == "blockls":
+        flt = BlockLSPredictorConfig(block_size=opts["block_size"])
     else:
-        if layout == Layout.BANDS_3D:
-            raise ValueError("bands3d measurements need the blockls filter")
-        flt = _FILTERS[args.filter]
+        flt = _FILTERS[opts["filter"]]
     solver = SolveConfig(
-        feasibility_tol=args.solver_feas,
-        objective_tol=args.solver_obj,
-        max_solver_iters=args.solver_iters,
+        feasibility_tol=opts["solver_feas"],
+        objective_tol=opts["solver_obj"],
+        max_solver_iters=opts["solver_iters"],
     )
     return ReconConfig(
-        init=args.init,
+        init=opts["init"],
         filter=flt,
-        max_outer_iters=args.iters,
-        convergence_tol=args.tol,
+        max_outer_iters=opts["iters"],
+        convergence_tol=opts["tol"],
         solver=solver,
-        iterate_axis=recon.AXIS_BANDS if layout == Layout.BANDS_3D else recon.AXIS_SPECTRAL_ROWS,
     )
+
+
+def _reconstruct(ms, basis, cfg, truth):
+    """Run the reconstruction of ms's layout; returns (Cube3D, ReconReport).
+
+    An image comes back as a 1-band cube.  recon is read at call time, so
+    that a wrapper installed on the module is seen.
+    """
+    if ms.layout == Layout.ROWS_2D:
+        result, report = recon.reconstruct_2d(ms, basis, cfg, ground_truth=truth)
+        return Cube3D(result.samples[:, :, None]), report
+    return recon.reconstruct_3d(ms, basis, cfg, ground_truth=truth)
 
 
 def cmd_reconstruct(args) -> int:
     ms = sensing.load_measurements(args.input)
-    try:
-        cfg = _recon_config(args, ms.layout)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfg = _recon_config(vars(args))
     basis = recon.slice_basis_for(ms, kind=args.basis)
     truth = None
     if args.truth:
@@ -221,12 +219,7 @@ def cmd_reconstruct(args) -> int:
             got = truth.samples.shape
         if got != want:
             return _fail(f"truth shape {got} does not match measurements {want}")
-    if ms.layout == Layout.ROWS_2D:
-        result, report = recon.reconstruct_2d(ms, basis, cfg, ground_truth=truth)
-        cube = Cube3D(result.samples[:, :, None])
-    else:
-        result, report = recon.reconstruct_3d(ms, basis, cfg, ground_truth=truth)
-        cube = result
+    cube, report = _reconstruct(ms, basis, cfg, truth)
     prefix = Path(args.output)
     recon_path = prefix.with_suffix(".pcs3")
     report_path = prefix.with_suffix(".report.csv")
@@ -327,66 +320,30 @@ def _csv_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _cell_scene(cell: dict):
+    if cell["scenario"] == "2d":
+        return dataio.synth_image(cell["seed"], cell["rows"], cell["cols"])
+    return dataio.synth_cube(cell["seed"], cell["rows"], cell["cols"], cell["bands"])
+
+
 def _run_benchmark_cell(cell: dict) -> dict:
     """One grid cell: synth, acquire, reconstruct; returns plain rows."""
     scenario = cell["scenario"]
-    seed = cell["seed"]
-    m = cell["m"]
-    solver = SolveConfig(
-        feasibility_tol=cell["solver_feas"],
-        objective_tol=cell["solver_obj"],
-        max_solver_iters=cell["solver_iters"],
-    )
-    if scenario == "2d":
-        img = dataio.synth_image(seed, cell["rows"], cell["cols"])
-        ens = sensing.SeededSensingEnsemble(seed, cell["rows"], m, cell["cols"])
-        ms = sensing.acquire_rows_2d(img, ens)
-        cfg = ReconConfig(
-            init=cell["init"],
-            filter=_FILTERS[cell["filter"]],
-            max_outer_iters=cell["iters"],
-            convergence_tol=cell["tol"],
-            solver=solver,
-        )
-        basis = recon.slice_basis_for(ms, kind=cell["basis"])
-        result, report = recon.reconstruct_2d(ms, basis, cfg, ground_truth=img)
-        truth = img.samples
-        band_mse = []
-    else:
-        cube = dataio.synth_cube(seed, cell["rows"], cell["cols"], cell["bands"])
-        if scenario == "3d":
-            ens = sensing.SeededSensingEnsemble(seed, cell["bands"], m, cell["rows"] * cell["cols"])
-            ms = sensing.acquire_bands_3d(cube, ens)
-            flt = BlockLSPredictorConfig(block_size=cell["block_size"])
-            axis = recon.AXIS_BANDS
-        else:  # 3d_rows
-            ens = sensing.SeededSensingEnsemble(seed, cell["rows"], m, cell["cols"] * cell["bands"])
-            ms = sensing.acquire_spectral_rows_3d(cube, ens)
-            flt = _FILTERS[cell["filter"] if cell["filter"] != "blockls" else "p1"]
-            axis = recon.AXIS_SPECTRAL_ROWS
-        cfg = ReconConfig(
-            init=cell["init"],
-            filter=flt,
-            max_outer_iters=cell["iters"],
-            convergence_tol=cell["tol"],
-            solver=solver,
-            iterate_axis=axis,
-        )
-        basis = recon.slice_basis_for(ms, kind=cell["basis"])
-        result, report = recon.reconstruct_3d(ms, basis, cfg, ground_truth=cube)
-        truth = cube.samples
-        band_mse = [
-            metrics.mse(result.samples[:, :, b], cube.samples[:, :, b])
-            for b in range(cell["bands"])
-        ]
+    scene = _cell_scene(cell)
+    ms = _acquire(scene, _SCENARIO_LAYOUTS[scenario], cell["m"], cell["seed"])
+    basis = recon.slice_basis_for(ms, kind=cell["basis"])
+    result, report = _reconstruct(ms, basis, _recon_config(cell), scene)
+    band_mse = [] if scenario == "2d" else [
+        metrics.mse(result.samples[:, :, b], scene.samples[:, :, b])
+        for b in range(cell["bands"])
+    ]
     key = {
         "scenario": scenario,
-        "m": m,
+        "m": cell["m"],
         "init": cell["init"],
         "filter": cell["filter"],
-        "seed": seed,
+        "seed": cell["seed"],
     }
-    recon_samples = result.samples
     return {
         "key": key,
         "mse_trace": report.mse_trace,
@@ -395,7 +352,7 @@ def _run_benchmark_cell(cell: dict) -> dict:
         "iterations": report.iterations_run,
         "converged": report.converged,
         "band_mse": band_mse,
-        "recon": recon_samples,
+        "recon": result.samples,
     }
 
 
@@ -403,16 +360,11 @@ def _run_omp_cell(cell: dict) -> dict:
     """Whole-signal OMP baseline with the same total measurement budget."""
     scenario = cell["scenario"]
     seed = cell["seed"]
-    if scenario == "2d":
-        img = dataio.synth_image(seed, cell["rows"], cell["cols"])
-        truth = img.samples
-        dims = (cell["rows"], cell["cols"])
-    else:
-        cube = dataio.synth_cube(seed, cell["rows"], cell["cols"], cell["bands"])
-        truth = cube.samples
-        dims = (cell["rows"], cell["cols"], cell["bands"])
+    truth = _cell_scene(cell).samples
+    dims = truth.shape
     n = int(np.prod(dims))
-    m_total = cell["m"] * (cell["rows"] if scenario != "3d" else cell["bands"])
+    num_slices, _ = sensing.slice_geometry(_SCENARIO_LAYOUTS[scenario], dims)
+    m_total = cell["m"] * num_slices
     ens = sensing.SeededSensingEnsemble(seed, 1, m_total, n)
     phi = sensing.draw_sensing_matrix(ens, 0)
     flat = truth.ravel(order="F")

@@ -1,13 +1,16 @@
 """Iterative prediction-residual reconstruction.
 
-The engines implement the same loop for 2D images (row predictions) and 3D
-cubes (band or spectral-row predictions): starting from an initial
+One loop serves every measurement layout: starting from an initial
 reconstruction, each outer iteration predicts every slice from its neighbors
 in the previous iterate (Jacobi schedule), measures the prediction with the
 slice's own sensing matrix, recovers only the measurement-domain prediction
 error by l1 minimization, and adds the recovered error back onto the
 prediction.  Iterations stop when the relative l2 change of the signal falls
-below convergence_tol or max_outer_iters is reached.
+below convergence_tol or max_outer_iters is reached.  The layout decides the
+rest (_LOOPS): image rows are predicted by a row filter and the sweeps leave
+the first and last row to the initialization; bands are predicted blockwise
+by least squares and spectral rows by a row filter, and the sweeps solve
+every slice of a cube.
 
 Two initialization strategies are provided: separate per-slice recovery, and
 joint Kronecker recovery (block-diagonal sensing operator with a separable
@@ -35,16 +38,14 @@ from .transforms import SparsityBasis
 INIT_SEPARATE = "separate"
 INIT_KCS = "kcs"
 
-AXIS_BANDS = "bands"
-AXIS_SPECTRAL_ROWS = "spectral_rows"
-
 # solver profile tuned for the desk-scale image sweeps; the residual floor of
 # the compressed measurements dominates well before these tolerances bind
 DEFAULT_SWEEP_SOLVER = SolveConfig(
     feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=2000
 )
 
-DEFAULT_KCS_MAX_UNKNOWNS = 1 << 18
+# largest joint Kronecker system (slices x slice length) init_kcs takes on
+KCS_MAX_UNKNOWNS = 1 << 18
 
 # a reconstruction keeps its whole stack of sensing matrices when it fits in
 # this many bytes; larger stacks are redrawn chunk by chunk on every sweep
@@ -58,8 +59,6 @@ class ReconConfig:
     max_outer_iters: int = 40
     convergence_tol: float = 1e-4
     solver: SolveConfig = DEFAULT_SWEEP_SOLVER
-    iterate_axis: str = AXIS_BANDS
-    kcs_max_unknowns: int = DEFAULT_KCS_MAX_UNKNOWNS
 
     def __post_init__(self):
         if self.init not in (INIT_SEPARATE, INIT_KCS):
@@ -68,8 +67,6 @@ class ReconConfig:
             raise ValueError("max_outer_iters must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if self.iterate_axis not in (AXIS_BANDS, AXIS_SPECTRAL_ROWS):
-            raise ValueError(f"unknown iterate_axis {self.iterate_axis!r}")
 
 
 @dataclass
@@ -252,7 +249,6 @@ def init_kcs(
     ms: MeasurementSet,
     basis: SparsityBasis | None = None,
     solver_cfg: SolveConfig | None = None,
-    max_unknowns: int = DEFAULT_KCS_MAX_UNKNOWNS,
     provider: _PhiProvider | None = None,
 ):
     """Joint recovery of all slices through the block-diagonal sensing operator.
@@ -267,11 +263,8 @@ def init_kcs(
     """
     ens = ms.ensemble
     unknowns = ens.num_slices * ens.n
-    if unknowns > max_unknowns:
-        raise ValueError(
-            f"KCS system has {unknowns} unknowns > guard {max_unknowns}; "
-            "crop the input or raise max_unknowns"
-        )
+    if unknowns > KCS_MAX_UNKNOWNS:
+        raise ValueError(f"KCS system has {unknowns} unknowns > guard {KCS_MAX_UNKNOWNS}; crop the input")
     basis = basis or kcs_basis_for(ms, slice_basis_for(ms))
     if basis.size != unknowns:
         raise ValueError(f"joint basis size {basis.size} does not match {unknowns} unknowns")
@@ -292,13 +285,7 @@ def _initialize(ms, basis, cfg, provider):
     if cfg.init == INIT_SEPARATE:
         container, warnings = init_separate(ms, basis, cfg.solver, provider)
         return container.samples, [(0, w) for w in warnings]
-    container, converged = init_kcs(
-        ms,
-        kcs_basis_for(ms, basis),
-        cfg.solver,
-        cfg.kcs_max_unknowns,
-        provider,
-    )
+    container, converged = init_kcs(ms, kcs_basis_for(ms, basis), cfg.solver, provider)
     return container.samples, ([] if converged else [(0, -1)])
 
 
@@ -342,11 +329,26 @@ def predict_cube_spectral_rows(flt: RowFilter, f_prev: np.ndarray) -> np.ndarray
     return sensing.signal_from_slices(pred, Layout.SPECTRAL_ROWS_3D, f_prev.shape)
 
 
+# per layout: the filter type its prediction takes, the prediction of every
+# slice from the previous iterate, and how many slices at each end the sweeps
+# leave to the initialization (an image's first and last row)
+_LOOPS = {
+    Layout.ROWS_2D: (RowFilter, predict_image_rows, 1),
+    Layout.BANDS_3D: (BlockLSPredictorConfig, predict_cube_bands, 0),
+    Layout.SPECTRAL_ROWS_3D: (RowFilter, predict_cube_spectral_rows, 0),
+}
+
+
 # --- engines -----------------------------------------------------------------------
 
-def _run_iterations(ms, basis, cfg, initial, predict, solve_range, ground_truth):
+def _run_iterations(ms, basis, cfg, initial, ground_truth):
     """Shared engine: initialize (unless given initial), then predict, correct,
     test convergence, trace.  The report clock includes the initialization."""
+    filter_type, predict, edge = _LOOPS[ms.layout]
+    if not isinstance(cfg.filter, filter_type):
+        raise ValueError(f"layout {ms.layout.name} needs a {filter_type.__name__} filter, "
+                         f"got {type(cfg.filter).__name__}")
+    basis = basis or slice_basis_for(ms)
     if initial is not None:
         x0 = np.array(getattr(initial, "samples", initial), dtype=np.float64)
         if x0.shape != ms.signal_shape:
@@ -370,11 +372,11 @@ def _run_iterations(ms, basis, cfg, initial, predict, solve_range, ground_truth)
     warnings = list(init_warnings)
     converged = False
     iterations = 0
-    lo, hi = solve_range
+    lo, hi = edge, ms.ensemble.num_slices - edge
 
     for it in range(1, cfg.max_outer_iters + 1):
         x_prev = x
-        pred = predict(x_prev)
+        pred = predict(cfg.filter, x_prev)
         x, sweep_warn = _residual_sweep(ms, cfg.solver, pred, provider, lo, hi)
         warnings.extend((it, w) for w in sweep_warn)
         iterations = it
@@ -419,22 +421,9 @@ def reconstruct_2d(
     instead of running cfg.init; handy for warm restarts and for comparing
     prediction filters from one shared initialization.
     """
-    cfg = cfg or ReconConfig()
     if ms.layout != Layout.ROWS_2D:
         raise ValueError(f"reconstruct_2d needs Rows2D measurements, got {ms.layout!r}")
-    if not isinstance(cfg.filter, RowFilter):
-        raise ValueError("2D reconstruction needs a RowFilter (P1/P2/P3)")
-    basis = basis or slice_basis_for(ms)
-    n_rows = ms.signal_shape[0]
-    x, report = _run_iterations(
-        ms,
-        basis,
-        cfg,
-        initial,
-        predict=lambda prev: predict_image_rows(cfg.filter, prev),
-        solve_range=(1, n_rows - 1) if n_rows > 2 else (0, 0),
-        ground_truth=ground_truth,
-    )
+    x, report = _run_iterations(ms, basis, cfg or ReconConfig(), initial, ground_truth)
     return Image2D(x), report
 
 
@@ -445,32 +434,14 @@ def reconstruct_3d(
     ground_truth=None,
     initial=None,
 ):
-    """Iterative band- or spectral-row-prediction reconstruction of a cube.
+    """Iterative reconstruction of a cube measured by bands or by spectral rows.
 
-    initial, when given, replaces the cfg.init starting reconstruction.
+    The layout of ms decides the prediction: blockwise least squares across
+    bands (cfg.filter a BlockLSPredictorConfig) or a row filter across spectral
+    rows (a RowFilter).  initial, when given, replaces the cfg.init starting
+    reconstruction.
     """
-    cfg = cfg or ReconConfig()
-    expected_layout = Layout.BANDS_3D if cfg.iterate_axis == AXIS_BANDS else Layout.SPECTRAL_ROWS_3D
-    if ms.layout != expected_layout:
-        raise ValueError(
-            f"iterate_axis {cfg.iterate_axis!r} needs layout {expected_layout!r}, got {ms.layout!r}"
-        )
-    if cfg.iterate_axis == AXIS_BANDS:
-        if not isinstance(cfg.filter, BlockLSPredictorConfig):
-            raise ValueError("band iteration needs a BlockLSPredictorConfig filter")
-        predict = lambda prev: predict_cube_bands(cfg.filter, prev)
-    else:
-        if not isinstance(cfg.filter, RowFilter):
-            raise ValueError("spectral-row iteration needs a RowFilter (P1/P2/P3)")
-        predict = lambda prev: predict_cube_spectral_rows(cfg.filter, prev)
-    basis = basis or slice_basis_for(ms)
-    f, report = _run_iterations(
-        ms,
-        basis,
-        cfg,
-        initial,
-        predict=predict,
-        solve_range=(0, None),
-        ground_truth=ground_truth,
-    )
+    if ms.layout == Layout.ROWS_2D:
+        raise ValueError(f"reconstruct_3d needs cube measurements, got {ms.layout!r}")
+    f, report = _run_iterations(ms, basis, cfg or ReconConfig(), initial, ground_truth)
     return Cube3D(f), report

@@ -87,7 +87,10 @@ def draw_sensing_stack(
     """Stack of sensing matrices for slices [start, stop), shape (stop-start, m, n)."""
     if not 0 <= start <= stop <= ensemble.num_slices:
         raise IndexError(f"slice range [{start}, {stop}) out of bounds")
-    return np.stack([draw_sensing_matrix(ensemble, i) for i in range(start, stop)])
+    stack = np.empty((stop - start, ensemble.m, ensemble.n))
+    for i in range(start, stop):
+        stack[i - start] = draw_sensing_matrix(ensemble, i)
+    return stack
 
 
 @dataclass
@@ -118,6 +121,18 @@ def chunk_length(ensemble: SeededSensingEnsemble, max_bytes: int = 1 << 27) -> i
     return max(1, min(ensemble.num_slices, max_bytes // per_slice))
 
 
+def slice_geometry(layout: Layout, shape: tuple[int, ...]) -> tuple[int, int]:
+    """(num_slices, slice length) of a signal of this shape acquired under layout."""
+    if len(shape) != (2 if layout == Layout.ROWS_2D else 3):
+        raise ValueError(f"layout {layout.name} cannot slice a signal of shape {tuple(shape)}")
+    if layout == Layout.ROWS_2D:
+        return shape[0], shape[1]
+    rows, cols, bands = shape
+    if layout == Layout.BANDS_3D:
+        return bands, rows * cols
+    return rows, cols * bands
+
+
 def slices_of(signal: np.ndarray, layout: Layout) -> np.ndarray:
     """View the signal as a (num_slices, n) array of column-major stacked slices."""
     if layout == Layout.ROWS_2D:
@@ -146,12 +161,12 @@ def signal_from_slices(slices: np.ndarray, layout: Layout, shape: tuple[int, ...
 
 
 def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout) -> MeasurementSet:
-    x = slices_of(signal, layout)
-    if x.shape != (ensemble.num_slices, ensemble.n):
+    if slice_geometry(layout, signal.shape) != (ensemble.num_slices, ensemble.n):
         raise ValueError(
-            f"signal slices {x.shape} do not match ensemble "
-            f"({ensemble.num_slices}, {ensemble.n})"
+            f"ensemble ({ensemble.num_slices} slices of length {ensemble.n}) does not "
+            f"match signal {signal.shape} acquired under layout {layout.name}"
         )
+    x = slices_of(signal, layout)
     y = np.empty((ensemble.num_slices, ensemble.m))
     step = chunk_length(ensemble)
     for i0 in range(0, ensemble.num_slices, step):
@@ -163,31 +178,16 @@ def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout
 
 def acquire_rows_2d(image: Image2D, ensemble: SeededSensingEnsemble) -> MeasurementSet:
     """Measure each image row with its own sensing matrix."""
-    if ensemble.n != image.n_cols or ensemble.num_slices != image.n_rows:
-        raise ValueError(
-            f"ensemble ({ensemble.num_slices} slices of length {ensemble.n}) does not "
-            f"match image {image.samples.shape}"
-        )
     return _acquire(image.samples, ensemble, Layout.ROWS_2D)
 
 
 def acquire_bands_3d(cube: Cube3D, ensemble: SeededSensingEnsemble) -> MeasurementSet:
     """Measure each vectorized spectral band with its own sensing matrix."""
-    if ensemble.n != cube.n_rows * cube.n_cols or ensemble.num_slices != cube.n_bands:
-        raise ValueError(
-            f"ensemble ({ensemble.num_slices} slices of length {ensemble.n}) does not "
-            f"match cube {cube.samples.shape} acquired band-wise"
-        )
     return _acquire(cube.samples, ensemble, Layout.BANDS_3D)
 
 
 def acquire_spectral_rows_3d(cube: Cube3D, ensemble: SeededSensingEnsemble) -> MeasurementSet:
     """Measure each vectorized spectral row (cols x bands slice) separately."""
-    if ensemble.n != cube.n_cols * cube.n_bands or ensemble.num_slices != cube.n_rows:
-        raise ValueError(
-            f"ensemble ({ensemble.num_slices} slices of length {ensemble.n}) does not "
-            f"match cube {cube.samples.shape} acquired by spectral rows"
-        )
     return _acquire(cube.samples, ensemble, Layout.SPECTRAL_ROWS_3D)
 
 
@@ -328,14 +328,10 @@ def load_measurements(path) -> MeasurementSet:
         if version != _MEAS_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         layout = Layout(layout)
-        if layout == Layout.ROWS_2D:
-            if bands != 1:
-                raise ValueError(f"{path}: header bands={bands}, a rows2d file needs bands=1")
-            slices, length = rows, cols
-        elif layout == Layout.BANDS_3D:
-            slices, length = bands, rows * cols
-        else:
-            slices, length = rows, cols * bands
+        if layout == Layout.ROWS_2D and bands != 1:
+            raise ValueError(f"{path}: header bands={bands}, a rows2d file needs bands=1")
+        shape = (rows, cols) if layout == Layout.ROWS_2D else (rows, cols, bands)
+        slices, length = slice_geometry(layout, shape)
         if num_slices != slices:
             raise ValueError(
                 f"{path}: header num_slices={num_slices}, but rows={rows} cols={cols} "
@@ -363,5 +359,4 @@ def load_measurements(path) -> MeasurementSet:
         shared_matrix=bool(flags & 1),
         non_compressive=bool(flags & 2),
     )
-    shape = (rows, cols) if layout == Layout.ROWS_2D else (rows, cols, bands)
     return MeasurementSet(y, ensemble, layout, shape)

@@ -1,10 +1,12 @@
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcs import cli, dataio, sensing
+from pcs import cli, dataio, recon, sensing
 from pcs.cli import main, parse_suite
 
 
@@ -71,7 +73,10 @@ class TestAcquire:
     def test_layout_needs_cube(self, workdir, capsys):
         img = _synth_image(workdir)
         assert main(["acquire", str(img), "--layout", "bands3d", "-m", "8", "-o", "m.pcsm"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: layout BANDS_3D cannot slice a signal of shape (24, 24)" in capsys.readouterr().err
+        cube = _synth_cube(workdir)
+        assert main(["acquire", str(cube), "--layout", "rows2d", "-m", "4", "-o", "m.pcsm"]) == 2
+        assert "error: layout ROWS_2D cannot slice a signal of shape (8, 8, 4)" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -131,6 +136,19 @@ class TestReconstruct:
             "sweep 1: rows 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 12 more; "
             "sweep 2: rows 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 12 more"
         )
+
+    def test_spectral_rows_through_module_attributes(self, workdir, monkeypatch):
+        # the benchmark wraps entry points by replacing module attributes, so
+        # the CLI must look each one up at call time
+        cube = _synth_cube(workdir, rows=6, cols=4, bands=3)
+        calls = []
+        for module, name in ((sensing, "acquire_spectral_rows_3d"), (recon, "reconstruct_3d")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        assert main(["acquire", str(cube), "--layout", "spectralrows3d", "-m", "6", "-o", "s.pcsm"]) == 0
+        assert main(["reconstruct", "s.pcsm", "--filter", "p1", "--iters", "1", "-o", "srec"]) == 0
+        assert calls == ["acquire_spectral_rows_3d", "reconstruct_3d"]
+        assert dataio.load_cube(workdir / "srec.pcs3").samples.shape == (6, 4, 3)
 
     def test_unconverged_list_format(self):
         assert cli._unconverged_list([(0, 0), (1, 17), (1, 45)], sensing.Layout.ROWS_2D) == \
@@ -257,6 +275,19 @@ class TestBenchmark:
         rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
         assert len(rows) == 1 and rows[0].startswith("3d,8,")
 
+    def test_filter_must_fit_the_scenario(self, workdir, capsys):
+        # bands take only blockls: the p3 cell fails and is named, the
+        # blockls cell still lands under its own label
+        Path("suite.txt").write_text(
+            "scenario = 3d\nrows = 4\ncols = 4\nbands = 2\nm = 8\nseeds = 0\n"
+            "filter = p3,blockls\niters = 1\n"
+        )
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 1
+        assert "cell failed: 3d m=8 seed=0: layout BANDS_3D" in capsys.readouterr().err
+        rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1 and rows[0].startswith("3d,8,separate,blockls,0,")
+        assert [p.name for p in (workdir / "bench" / "recons").iterdir()] == ["3d_m8_separate_blockls_s0.pcs3"]
+
     def test_suite_parsing(self, workdir):
         Path("bad.txt").write_text("unknown_key = 3\n")
         with pytest.raises(ValueError):
@@ -285,3 +316,16 @@ def test_manifest_digest_stable():
         versions={"artifact": "0.1.0"},
     )
     assert manifest.digest() == again.digest()
+
+
+def test_traced_entry_points_resolve():
+    # every entry point the benchmark wraps (perfbench/spans.py) exists on pcs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, cls, attr in spans.TRACED:
+        owner = importlib.import_module(f"pcs.{module}")
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr)), (module, cls, attr)

@@ -16,7 +16,7 @@ from pcs.recon import (
     reconstruct_3d,
     slice_basis_for,
 )
-from pcs.sensing import SeededSensingEnsemble, acquire_bands_3d, acquire_rows_2d, acquire_spectral_rows_3d
+from pcs.sensing import Layout, SeededSensingEnsemble, acquire_bands_3d, acquire_rows_2d, acquire_spectral_rows_3d
 from pcs.signals import Cube3D, Image2D
 from pcs.solvers import SolveConfig
 
@@ -112,11 +112,12 @@ class TestInitKCS:
             wins += metrics.mse(kcs, cube) < metrics.mse(sep, cube)
         assert wins >= 4
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         ens = SeededSensingEnsemble(0, 4, 3, 8)
         ms = acquire_rows_2d(Image2D(np.zeros((4, 8))), ens)
-        with pytest.raises(ValueError):
-            init_kcs(ms, max_unknowns=16)
+        monkeypatch.setattr(recon, "KCS_MAX_UNKNOWNS", 16)
+        with pytest.raises(ValueError, match="32 unknowns > guard 16"):
+            init_kcs(ms)
 
     @pytest.mark.parametrize("acquire, scene, ens", [
         (acquire_rows_2d, lambda: dataio.synth_image(70, 8, 16), SeededSensingEnsemble(71, 8, 6, 16)),
@@ -274,17 +275,22 @@ class TestReconstruct2D:
         reconstruct_2d(ms, None, ReconConfig(init=init, max_outer_iters=2))
         assert draws == [(ms.ensemble, 0, 12)]
 
-    def test_layout_and_filter_validation(self):
-        cube = dataio.synth_cube(25, 4, 4, 2)
-        ens = SeededSensingEnsemble(26, 2, 8, 16)
-        ms = acquire_bands_3d(cube, ens)
+    @pytest.mark.parametrize("layout", list(Layout), ids=["rows2d", "bands3d", "spectral_rows3d"])
+    def test_layout_and_filter_validation(self, layout):
+        # the layout decides the filter type, and only its own engine takes it
+        if layout == Layout.ROWS_2D:
+            ms = acquire_rows_2d(dataio.synth_image(27, 8, 8), SeededSensingEnsemble(28, 8, 4, 8))
+            engine, other, wrong = reconstruct_2d, reconstruct_3d, BlockLSPredictorConfig()
+        elif layout == Layout.BANDS_3D:
+            ms = acquire_bands_3d(dataio.synth_cube(25, 4, 4, 2), SeededSensingEnsemble(26, 2, 8, 16))
+            engine, other, wrong = reconstruct_3d, reconstruct_2d, P1
+        else:
+            ms = acquire_spectral_rows_3d(dataio.synth_cube(29, 4, 4, 2), SeededSensingEnsemble(30, 4, 4, 8))
+            engine, other, wrong = reconstruct_3d, reconstruct_2d, BlockLSPredictorConfig()
+        with pytest.raises(ValueError, match=layout.name):
+            engine(ms, cfg=ReconConfig(filter=wrong))
         with pytest.raises(ValueError):
-            reconstruct_2d(ms)
-        img = dataio.synth_image(27, 8, 8)
-        ens2 = SeededSensingEnsemble(28, 8, 4, 8)
-        ms2 = acquire_rows_2d(img, ens2)
-        with pytest.raises(ValueError):
-            reconstruct_2d(ms2, cfg=ReconConfig(filter=BlockLSPredictorConfig()))
+            other(ms)
 
 
 class TestReconstruct3D:
@@ -312,24 +318,16 @@ class TestReconstruct3D:
         cube = dataio.synth_cube(35, 12, 8, 4)
         ens = SeededSensingEnsemble(36, 12, 10, 32)
         ms = sensing.acquire_spectral_rows_3d(cube, ens)
-        cfg = ReconConfig(filter=P1, iterate_axis=recon.AXIS_SPECTRAL_ROWS, max_outer_iters=3)
+        cfg = ReconConfig(filter=P1, max_outer_iters=3)
         _, report = reconstruct_3d(ms, None, cfg, ground_truth=cube)
         assert report.mse_trace[-1] <= report.mse_trace[0]
-
-    def test_axis_layout_mismatch(self):
-        cube = dataio.synth_cube(37, 8, 8, 4)
-        ens = SeededSensingEnsemble(38, 4, 16, 64)
-        ms = acquire_bands_3d(cube, ens)
-        cfg = ReconConfig(filter=P1, iterate_axis=recon.AXIS_SPECTRAL_ROWS)
-        with pytest.raises(ValueError):
-            reconstruct_3d(ms, None, cfg)
 
     def test_filter_type_checked(self):
         cube = dataio.synth_cube(39, 8, 8, 4)
         ens = SeededSensingEnsemble(40, 4, 16, 64)
         ms = acquire_bands_3d(cube, ens)
         with pytest.raises(ValueError):
-            reconstruct_3d(ms, None, ReconConfig(filter=P1, iterate_axis=recon.AXIS_BANDS))
+            reconstruct_3d(ms, None, ReconConfig(filter=P1))
 
 
 class TestMatrixCache:

@@ -199,7 +199,7 @@ def test_slices_round_trip(case, seed):
     layout, shape = case
     signal = np.random.default_rng(seed).normal(size=shape)
     slices = sensing.slices_of(signal, layout)
-    assert slices.shape == slice_count_and_length(layout, shape)
+    assert slices.shape == slice_count_and_length(layout, shape) == sensing.slice_geometry(layout, shape)
     assert np.array_equal(sensing.signal_from_slices(slices, layout, shape), signal)
     other = np.random.default_rng(seed + 1).normal(size=slices.shape)
     assert np.array_equal(sensing.slices_of(sensing.signal_from_slices(other, layout, shape), layout), other)
