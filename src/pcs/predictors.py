@@ -11,10 +11,14 @@ Row filters estimate a row from its upper and lower neighbors:
 Horizontal edges clamp (replicate) the boundary pixel so the weights keep
 summing to one.
 
-The band predictor works per non-overlapping spatial block: a least-squares
-gain alpha maps the co-located block of a reconstructed reference band onto
-the current band, prediction = mu_i + alpha*(ref - mu_l).  Flat reference
-blocks (zero variance) fall back to alpha = 0, i.e. the block mean.
+The band predictor fits the least-squares model of a reference band onto
+the current band, target ~ mu_i + alpha*(ref - mu_l), on a block_size x
+block_size window around every pixel, and predicts each pixel with the
+fitted gain and offset averaged over that same window.  Separate fits per
+non-overlapping block would make the prediction jump at the block edges,
+and a jump is not sparse in the slice's DCT.  Flat reference windows
+(variance at the level of rounding) fall back to alpha = 0, i.e. the window
+mean.
 """
 
 import math
@@ -81,9 +85,25 @@ def predict_row(flt: RowFilter, upper: np.ndarray, lower: np.ndarray) -> np.ndar
     return P3_DIAGONAL_WEIGHT * diagonal + P3_VERTICAL_WEIGHT * vertical
 
 
-def _block_edges(length: int, block: int) -> list[tuple[int, int]]:
-    # trailing partial blocks are processed as smaller rectangles
-    return [(k, min(k + block, length)) for k in range(0, length, block)]
+# a reference window whose sum of squared deviations is at most this fraction
+# of the band's is flat: the box sums leave a rounding error of about 1e-16 of
+# the band's, and a gain fitted on such a window would fit that error
+_FLAT_RTOL = 1e-12
+
+
+def _window_starts(length: int, window: int) -> np.ndarray:
+    """Start of the window of each position along an axis: centred on it,
+    shifted inward at the edges so that it keeps its full size."""
+    return np.clip(np.arange(length) - window // 2, 0, length - window)
+
+
+def _window_sums(a: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+    """Sums of a over every window of that shape, indexed by its start
+    (box sums over cumulative sums, O(pixels))."""
+    c = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    c[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    h, w = window
+    return c[h:, w:] - c[:-h, w:] - c[h:, :-w] + c[:-h, :-w]
 
 
 def predict_band_blockls(
@@ -91,33 +111,44 @@ def predict_band_blockls(
     target_stats_source: np.ndarray,
     cfg: BlockLSPredictorConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided blockwise least-squares prediction of a band.
+    """One-sided windowed least-squares prediction of a band.
 
     ref_band is the reconstructed reference band; target_stats_source is the
     reconstruction of the band being predicted (used for mu_i and the
-    correlation).  Returns (prediction, alpha grid).
+    correlation).  Every pixel's window is block_size x block_size (the band
+    where it is smaller), centred on the pixel and shifted inward at the
+    edges.  The gain alpha and offset mu_i - alpha*mu_l are fitted on each
+    window, and each pixel is predicted with their averages over its own
+    window: the prediction is smooth, and a band no larger than one block
+    gets the single fit over the whole band.  Returns (prediction, alpha
+    grid), the grid holding per block of the partition the gain fitted on
+    the window at the block's start: the block itself for a full block, the
+    full-size window shifted inward over a trailing partial block.
     """
     cfg = cfg or BlockLSPredictorConfig()
     ref = np.asarray(ref_band, dtype=np.float64)
     tgt = np.asarray(target_stats_source, dtype=np.float64)
     if ref.shape != tgt.shape:
         raise ValueError(f"band shapes differ: {ref.shape} vs {tgt.shape}")
-    rows_edges = _block_edges(ref.shape[0], cfg.block_size)
-    cols_edges = _block_edges(ref.shape[1], cfg.block_size)
-    pred = np.empty_like(ref)
-    alphas = np.zeros((len(rows_edges), len(cols_edges)))
-    for bi, (r0, r1) in enumerate(rows_edges):
-        for bj, (c0, c1) in enumerate(cols_edges):
-            rblk = ref[r0:r1, c0:c1]
-            tblk = tgt[r0:r1, c0:c1]
-            mu_l = rblk.mean()
-            mu_i = tblk.mean()
-            centered = rblk - mu_l
-            denom = np.sum(centered * centered)
-            alpha = np.sum(centered * (tblk - mu_i)) / denom if denom > 0 else 0.0
-            alphas[bi, bj] = alpha
-            pred[r0:r1, c0:c1] = mu_i + alpha * centered
-    return pred, alphas
+    window = (min(cfg.block_size, ref.shape[0]), min(cfg.block_size, ref.shape[1]))
+    count = window[0] * window[1]
+    # taking the band means out first keeps the box sums' rounding at the
+    # level of the band's variation
+    r = ref - ref.mean()
+    t = tgt - tgt.mean()
+    sum_r, sum_t = _window_sums(r, window), _window_sums(t, window)
+    var = _window_sums(r * r, window) - sum_r * sum_r / count
+    cov = _window_sums(r * t, window) - sum_r * sum_t / count
+    fitted = var > _FLAT_RTOL * np.sum(r * r)
+    alpha = np.where(fitted, cov / np.where(fitted, var, 1.0), 0.0)
+    offset = (sum_t - alpha * sum_r) / count
+    pixel = np.ix_(*(_window_starts(size, win) for size, win in zip(ref.shape, window)))
+    alpha_mean = _window_sums(alpha[pixel], window)[pixel] / count
+    offset_mean = _window_sums(offset[pixel], window)[pixel] / count
+    pred = tgt.mean() + alpha_mean * r + offset_mean
+    blocks = np.ix_(*(np.minimum(np.arange(0, size, cfg.block_size), size - win)
+                      for size, win in zip(ref.shape, window)))
+    return pred, alpha[blocks]
 
 
 def predict_band_twosided(

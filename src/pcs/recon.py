@@ -16,11 +16,14 @@ Two initialization strategies are provided: separate per-slice recovery, and
 joint Kronecker recovery (block-diagonal sensing operator with a separable
 sparsity basis spanning all slices).  Both, and every outer iteration, solve
 on the same stack of composed matrices B_s = Phi_s*Psi_slice, drawn and
-composed once per reconstruction.  The residual sweeps (the separate
-initialization and every outer iteration) solve on B alone; the Kronecker
-initialization solves on B with only the cross-slice factor of the joint
-basis inside the operator, since blockdiag(Phi_s)*(Psi_cross (x) Psi_slice)
-= blockdiag(B_s)*(Psi_cross (x) I).
+composed once per reconstruction, with the same algorithm (ADMM on the exact
+projection onto the constraints, see solvers).  The residual sweeps (the
+separate initialization and every outer iteration) solve on B alone; the
+Kronecker initialization solves on B with only the cross-slice factor of the
+joint basis inside the operator, since blockdiag(Phi_s)*(Psi_cross (x)
+Psi_slice) = blockdiag(B_s)*(Psi_cross (x) I).  That factor is orthonormal,
+so the joint projection is the per-slice one between a cross-slice analysis
+and synthesis, and the joint solve converges like a sweep.
 """
 
 import time
@@ -257,9 +260,11 @@ def init_kcs(
     factors on every axis); its leading axes are the slice basis Psi_slice.
     Solves a single stacked l1 problem on the composed stack
     B_s = Phi_s*Psi_slice, with only the cross-slice factor inside the
-    operator, and synthesizes the result with the full joint basis.
-    provider is as in init_separate and must be composed with Psi_slice.
-    Returns (signal container, converged flag).
+    operator, and synthesizes the result with the full joint basis.  The
+    solve is the sweeps' ADMM, normalized by the joint ||y||, with the
+    per-slice factors of B serving the joint projection.  provider is as in
+    init_separate and must be composed with Psi_slice.  Returns (signal
+    container, converged flag).
     """
     ens = ms.ensemble
     unknowns = ens.num_slices * ens.n

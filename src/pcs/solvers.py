@@ -2,26 +2,22 @@
 
 solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y (or, with
 relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2).  Every l1
-solve runs on one operator, BatchedOperator: a stack of per-slice sensing
-matrices composed with an orthonormal basis that spans either one slice
-(independent per-slice problems) or the whole stacked vector (one joint
-Kronecker problem).  A caller that holds the composed stack A*Psi passes it
-with basis None; the reconstruction sweeps do this.  The Kronecker
-initialization passes the composed stack with the joint basis whose
-per-slice factors are the identity, so only the cross-slice factor stays
-inside the operator.
+solve runs one algorithm, ADMM on the exact projection onto its constraints
+(_admm_batch), over one operator, BatchedOperator: a stack of per-slice
+matrices that poses either independent per-slice problems or one joint
+Kronecker problem.  A basis given to solve_l1 or solve_l1_batch is composed
+into the matrices first (_compose: row k of A*Psi is the analysis transform
+of row k of A); of a joint basis only the per-slice part is, and the
+cross-slice factor stays inside the operator.  The reconstruction composes
+its stack itself as it draws it, and passes basis None to the sweeps and the
+cross-slice factor alone to the Kronecker initialization.
 
-One function (_solve_batch) picks the algorithm.  An equality-constrained
-problem on an explicit stack (basis None) runs ADMM on the exact projection
-onto its constraints: each slice's rows are factored once per call (an
-eigendecomposition of the m x m Gram matrix, rank-revealing), and the
-iterations apply the orthonormal factor through BatchedOperator.  A basis
-inside the operator (the Kronecker initialization, solve_l1 with a basis)
-or a relaxed constraint runs a first-order primal-dual scheme
-(Chambolle-Pock) that uses only forward/adjoint applications.  m >= n is
-least squares.  Problems in a batch are solved independently: each leaves
-the batch at its own stop, with a result that does not depend on the batch.
-solve_l1 and solve_omp take a dense matrix.
+Each slice's rows are factored once per call (an eigendecomposition of the
+m x m Gram matrix, rank-revealing), and the iterations apply the orthonormal
+factor through BatchedOperator.  m >= n is least squares.  Problems in a
+batch are solved independently: each leaves the batch at its own stop, with
+a result that does not depend on the batch.  solve_l1 and solve_omp take a
+dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -29,23 +25,21 @@ against independent routes.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import sensing, transforms
+from . import transforms
 from .transforms import SparsityBasis
 
 _CHECK_EVERY = 25
-_POWER_ITERS = 30
-# primal/dual step ratio and overrelaxation, tuned on planted-sparse and
-# natural-image-row instances; tau*sigma*L^2 = 0.95^2 < 1 holds regardless
-_STEP_RATIO = 0.25
-_RELAX = 1.9
 # ADMM penalty rho = _ADMM_RHO*sqrt(n) on the normalized problem
 _ADMM_RHO = 8.0
 # Gram eigenvalues below this fraction of the largest are null directions
 _RANK_RTOL = 1e-10
+# a relaxed solve aims its candidates this fraction inside the epsilon-ball,
+# so that rounding keeps the residual recomputed on the caller's stack on it
+_BALL_MARGIN = 1e-9
 # a cross-slice DCT over at most this many slices is one dense S x S product;
 # above it the transform is cheaper (it overtook the product at 180 to 250
 # slices, for slice lengths 64 to 576, on a 2-vCPU x86 machine)
@@ -63,12 +57,10 @@ class SolveConfig:
     check, and iterations counts that problem's iterations only.
     relaxed_epsilon = 0 selects the equality-constrained mode.
 
-    converged means, on the ADMM path (basis None, equality), that the
-    problem met its stop test (feasible and l1 plateau) by
-    max_solver_iters and the returned theta meets the bound: every ADMM
-    candidate is feasible to rounding, so meeting the bound alone says
-    nothing.  On the primal-dual path it means that some checked iterate
-    met the bound.
+    converged means that the problem met its stop test (feasible and l1
+    plateau) by max_solver_iters and the returned theta meets the bound:
+    every ADMM candidate is feasible to rounding, so meeting the bound alone
+    says nothing.
     """
 
     feasibility_tol: float = 1e-6
@@ -109,48 +101,42 @@ def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
 
 
 class BatchedOperator:
-    """The sensing operator of every l1 solve: per-slice matrices with a basis.
+    """The sensing operator of every l1 solve: a stack of per-slice matrices.
 
-    phi has shape (S, m, n).  A basis of size n (or None, the identity) makes
-    S independent problems: forward maps coefficient rows (S, n) to
-    measurement rows (S, m).  A basis of size S*n makes one joint problem
-    (Kronecker CS): forward synthesizes the stacked vector (1, S*n), applies
-    each slice's matrix to its segment and returns (1, S*m).
+    phi has shape (S, m, n).  With basis None the S problems are independent:
+    forward maps coefficient rows (S, n) to measurement rows (S, m).  A joint
+    basis of size S*n makes one problem (Kronecker CS): forward synthesizes
+    the stacked vector (1, S*n), applies each slice's matrix to its segment
+    and returns (1, S*m).
 
-    A joint basis must put the slice axis last: it is then Psi_cross (x)
-    Psi_slice, and blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
-    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A cross-slice DCT over at
-    most _DENSE_CROSS_MAX slices is applied as one S x S matrix product on
-    the (S, n) array of segments, and the per-slice part through transforms
-    only where its factors are not all identity; a caller that holds the
-    composed stack Phi_s*Psi_slice passes the joint basis with identity
-    per-slice factors and runs no transform.  Over more slices the S^2*n
-    product costs more than the transform, so the whole joint basis runs
-    through transforms.
+    The joint basis must put the slice axis last and have identity factors on
+    the other axes: it is Psi_cross (x) I.  The per-slice part of a Kronecker
+    basis belongs in the matrices, since blockdiag(Phi_s)*(Psi_cross (x)
+    Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I) (_compose).  A
+    cross-slice DCT over at most _DENSE_CROSS_MAX slices is applied as one
+    S x S matrix product on the (S, n) array of segments; over more slices
+    the S^2*n product costs more than the transform, which then runs instead.
     """
 
-    def __init__(self, phi: np.ndarray, basis: SparsityBasis | None):
+    def __init__(self, phi: np.ndarray, basis: SparsityBasis | None = None):
         self.phi = np.asarray(phi, dtype=np.float64)
         self.basis = basis
         slices, m, n = self.phi.shape
-        size = n if basis is None else basis.size
-        self._cross = None
-        part = basis
-        if size == n:
-            self.joint, self.batch, self.m = False, slices, m
-        elif size == slices * n:
-            self.joint, self.batch, self.m = True, 1, slices * m
-            slice_part, cross = transforms.split_slice_axis(basis, slices)
-            if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
-                part, self._cross = slice_part, transforms.dct_matrix(slices)
-        else:
-            raise ValueError(
-                f"basis size {size} matches neither n={n} nor {slices} slices of n ({slices * n})"
-            )
-        # the part of the basis applied through transforms, None when identity
-        self._transform = None if part is None or all(
-            f == transforms.IDENTITY for f in part.factors) else part
-        self.n = size
+        self._cross = self._transform = None
+        if basis is None:
+            self.joint, self.batch, self.m, self.n = False, slices, m, n
+            return
+        if basis.size != slices * n:
+            raise ValueError(f"basis size {basis.size} does not match {slices} slices of n ({slices * n})")
+        slice_part, cross = transforms.split_slice_axis(basis, slices)
+        if any(f != transforms.IDENTITY for f in slice_part.factors):
+            raise ValueError(f"the per-slice factors {slice_part.factors} of a joint basis belong "
+                             "in the matrices: compose them first")
+        self.joint, self.batch, self.m, self.n = True, 1, slices * m, slices * n
+        if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
+            self._cross = transforms.dct_matrix(slices)
+        elif cross == transforms.DCT:
+            self._transform = basis
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
         """Coefficients (batch, n) -> per-slice signals (S, n_slice)."""
@@ -159,13 +145,13 @@ class BatchedOperator:
         if self._cross is not None:
             x = self._cross.T @ x
         if self._transform is not None:
-            x = transforms.synthesize(self._transform, x.reshape(-1, self._transform.size))
+            x = transforms.synthesize(self._transform, x.reshape(1, -1))
         return x.reshape(slices, n)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """Per-slice signals (S, n_slice) -> coefficients (batch, n); inverse of synthesize."""
         if self._transform is not None:
-            x = transforms.analyze(self._transform, x.reshape(-1, self._transform.size))
+            x = transforms.analyze(self._transform, x.reshape(1, -1))
         if self._cross is not None:
             x = self._cross @ x.reshape(self.phi.shape[0], -1)
         return x.reshape(self.batch, self.n)
@@ -177,28 +163,29 @@ class BatchedOperator:
         slices, m, _ = self.phi.shape
         return self.analyze(np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0])
 
-    def take(self, idx: np.ndarray) -> "BatchedOperator":
-        """Operator over problems idx; a joint operator holds only problem 0."""
-        return self if self.joint else BatchedOperator(self.phi[idx], self.basis)
 
+def _compose(phi: np.ndarray, basis: SparsityBasis | None):
+    """(phi with the per-slice part of basis composed in, the basis left to the operator).
 
-def _operator_norms(op, n_iters: int = _POWER_ITERS) -> np.ndarray:
-    """Per-problem spectral norm estimates via power iteration.
-
-    The basis factor is orthonormal, so this equals the norm of the sensing
-    part; power iteration keeps everything operator-only.  Every problem
-    starts from the same seeded vector, so a problem's estimate does not
-    depend on the batch it is solved in.
+    A basis of the slice length n is composed whole and leaves None; a joint
+    basis over the S slices of phi (slice axis last) leaves its cross-slice
+    factor alone, Psi_cross (x) I.  Row k of Phi_s*Psi is the analysis
+    transform of row k of Phi_s; an identity part leaves phi as it is.
     """
-    v = np.tile(sensing.philox_normals(0x9E37, 0x79B9, op.n), (op.batch, 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    lam = np.ones(op.batch)
-    for _ in range(n_iters):
-        w = op.adjoint(op.forward(v))
-        lam = np.linalg.norm(w, axis=1)
-        nz = lam > 0
-        v[nz] = w[nz] / lam[nz, None]
-    return np.sqrt(lam) * 1.02  # safety margin so tau*sigma*L^2 < 1
+    if basis is None:
+        return phi, None
+    slices, _, n = phi.shape
+    if basis.size == n:
+        part, rest = basis, None
+    elif basis.size == slices * n:
+        part, cross = transforms.split_slice_axis(basis, slices)
+        rest = replace(basis, factors=(transforms.IDENTITY,) * len(part.dims) + (cross,))
+    else:
+        raise ValueError(f"basis size {basis.size} matches neither n={n} "
+                         f"nor {slices} slices of n ({slices * n})")
+    if all(f == transforms.IDENTITY for f in part.factors):
+        return phi, rest
+    return transforms.analyze(part, phi), rest
 
 
 @dataclass
@@ -214,17 +201,11 @@ class BatchSolveState:
 
 
 def _solve_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
-    """The one place that picks the algorithm for a batch.
-
-    m >= n pins theta (least squares); an equality-constrained problem on an
-    explicit stack (basis None) runs ADMM on its exact projection; a basis
-    inside the operator or a relaxed constraint runs primal-dual iterations.
-    """
+    """The one place that picks the algorithm for a batch: m >= n pins theta
+    (least squares), anything else runs ADMM."""
     if op.m >= op.n:
         return _determined_batch(op, y, cfg, keep_trace)
-    if op.basis is None and cfg.relaxed_epsilon == 0:
-        return _admm_batch(op, y, cfg, keep_trace)
-    return _pdhg_batch(op, y, cfg, keep_trace)
+    return _admm_batch(op, y, cfg, keep_trace)
 
 
 def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
@@ -294,68 +275,93 @@ def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_
     return done, obj
 
 
-def _row_space(phi: np.ndarray, yhat: np.ndarray, work: np.ndarray):
-    """Orthonormal rows of the row space of each slice s in work.
+def _row_space(op, yhat: np.ndarray, work: np.ndarray):
+    """Orthonormal rows of the row space of every slice of the problems in work.
 
-    yhat holds the normalized measurements of those slices, aligned with
-    work.  With Phi_s Phi_s^T = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T Phi_s
+    yhat holds the normalized measurements of those problems, aligned with
+    work.  With B_s B_s^T = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T B_s
     of the directions with w above the rank cut are orthonormal, and
     P(v) = v - Q(Q^T v - yq), yq = diag(w)^-1/2 V^T yhat_s, projects onto the
-    least-squares solutions of Phi_s theta = yhat_s.  Null directions get
-    zero rows.  gap is the distance of yhat_s from the range: 0 (to rounding)
-    when the system is consistent.  One slice at a time, so only the Q^T
-    stack and one m x m matrix are held.  Returns (Q^T, yq, gap), aligned
-    with work.
+    least-squares solutions of B_s theta = yhat_s.  Null directions get zero
+    rows.  gap is the distance of yhat_s from the range: 0 (to rounding) when
+    the system is consistent.  One slice at a time, so only the Q^T stack and
+    one m x m matrix are held.
+
+    A joint problem factors every slice.  Its cross-slice factor is
+    orthonormal, so BatchedOperator(Q^T, op.basis) turns P into the exact
+    projection onto the joint constraints, Psi_cross^T P Psi_cross, and its
+    gap is the l2 norm of the slices' gaps.  Returns (Q^T, sv, yq, gap): the
+    stack, and per problem in work the singular values sqrt(w) (0 for null
+    directions), yq and gap.
     """
-    qt = np.zeros((work.size,) + phi.shape[1:])
-    yq = np.zeros((work.size, phi.shape[1]))
-    gap = np.empty(work.size)
-    for j, s in enumerate(work):
-        w, v = np.linalg.eigh(phi[s] @ phi[s].T)
+    slices = np.arange(op.phi.shape[0]) if op.joint else work
+    yhat = yhat.reshape(slices.size, -1)
+    qt = np.zeros((slices.size,) + op.phi.shape[1:])
+    sv = np.zeros(yhat.shape)
+    yq = np.zeros(yhat.shape)
+    gap = np.empty(slices.size)
+    for j, s in enumerate(slices):
+        w, v = np.linalg.eigh(op.phi[s] @ op.phi[s].T)
         keep = w > w[-1] * _RANK_RTOL
         v = v[:, keep]
         coef = v.T @ yhat[j]
         gap[j] = np.linalg.norm(yhat[j] - v @ coef)
         scale = w[keep] ** -0.5
+        sv[j, :scale.size] = np.sqrt(w[keep])
         yq[j, :scale.size] = coef * scale
-        qt[j, :scale.size] = (v * scale).T @ phi[s]
-    return qt, yq, gap
+        qt[j, :scale.size] = (v * scale).T @ op.phi[s]
+    if op.joint:
+        return qt, sv.reshape(1, -1), yq.reshape(1, -1), np.linalg.norm(gap, keepdims=True)
+    return qt, sv, yq, gap
 
 
 def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
     """Basis pursuit by ADMM on the exact projection (Boyd et al. 2011, 6.2).
 
     Each slice's rows are factored once (_row_space) into an orthonormal
-    stack Q^T that this function owns; the iteration
-        x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z
-    applies P through a BatchedOperator over Q^T, so it needs no power
-    iteration and no step sizes.  At each check the candidate is P(z), which
-    meets the constraints to rounding; a problem is done, and converged, when
-    it is feasible and its l1 has plateaued.  A problem whose measurements
-    lie farther from the range of its matrix than the bound (gap) can never
-    be feasible: it leaves at its first check with its least-squares
-    candidate, not converged.  A problem that leaves the working set has its
-    Q^T rows overwritten by compaction in place, so every row operation is
-    per problem and a result is bit-identical alone or in any batch.  The
-    reported residual is recomputed on the caller's stack.
+    stack Q^T that this function owns, applied through a BatchedOperator over
+    Q^T with the operator's cross-slice factor, so the iterations need no
+    power iteration and no step sizes.  With a = z - u, each iteration is
+        x = a - Q(Q^T a - q),  z = soft(x + u, 1/rho),  u += x - z.
+    Equality-constrained, q = yq and x is the projection P(a).  Relaxed to
+    ||B theta - y|| <= epsilon ||y||, it splits off the residual in the
+    whitened coordinates of the factors: B = V G Q^T with G = diag(sv), and
+    r = G Q^T theta - G yq is the residual within the range (the part of y
+    outside it adds gap^2 to every squared residual).  The x-step solves
+    (I + B^T B) x = a + B^T(y + w - v), whose solution has
+    Q^T x = q = (Q^T a + G(G yq + w - v)) / (1 + sv^2); then w is r + v
+    projected onto the ball of radius sqrt(epsilon^2 - gap^2) and v, its
+    scaled dual, takes what the ball cut off.
+
+    At each check the candidate moves z along the projection's correction
+    -Q(Q^T z - yq), all the way for an equality (P(z)) and until the
+    residual reaches the ball when relaxed, so every candidate is feasible to
+    rounding; a problem is done, and converged, when its l1 has plateaued.
+    A problem whose measurements lie farther from the range of its matrix
+    than the bound (gap) can never be feasible: it leaves at its first check
+    with its least-squares candidate, not converged.  A problem that leaves
+    the working set has its Q^T rows overwritten by compaction in place, so
+    every row operation is per problem and a result is bit-identical alone or
+    in any batch.  The reported residual is recomputed on the caller's stack.
     """
     y, ynorm, state = _start(op, y)
-    bound = cfg.feasibility_tol * ynorm
+    bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * ynorm
     stopped = np.zeros(op.batch, dtype=bool)
     work = np.flatnonzero(ynorm > 0)
     if work.size:
         # the iteration is not scale-equivariant (the soft-threshold has a
         # fixed size), so it runs on y/||y||
         yscale = ynorm[work]
-        qt, yq, gap = _row_space(op.phi, y[work] / yscale[:, None], work)
+        qt, sv, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
+        relaxed = cfg.relaxed_epsilon > 0
+        radius = np.sqrt(np.maximum(cfg.relaxed_epsilon ** 2 - gap ** 2, 0.0)) * (1.0 - _BALL_MARGIN)
         thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
         z = np.zeros((work.size, op.n))
         u = np.zeros((work.size, op.n))
+        w = np.zeros_like(yq)
+        v = np.zeros_like(yq)
         prev_obj = np.full(work.size, np.inf)
-        proj = BatchedOperator(qt, None)
-
-        def project(v):
-            return v - proj.adjoint(proj.forward(v) - yq)
+        proj = BatchedOperator(qt, op.basis)
 
         # gap is fixed by the factorization: whether a problem can ever be
         # feasible is known now, and one that cannot leaves at its first check
@@ -363,97 +369,48 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         k = 0
         while k < cfg.max_solver_iters:
             k += 1
-            x = project(z - u)
+            a = z - u
+            qa = proj.forward(a)
+            q = yq
+            if relaxed:
+                q = (qa + sv * (sv * yq + w - v)) / (1.0 + sv * sv)
+                r = sv * (q - yq) + v
+                rn = np.linalg.norm(r, axis=1)
+                w = r * np.minimum(1.0, radius / np.maximum(rn, 1e-300))[:, None]
+                v = r - w
+            x = a - proj.adjoint(qa - q)
             z = _soft_threshold(x + u, thresh)
             u += x - z
             last = k == cfg.max_solver_iters
             if k % _CHECK_EVERY == 0 or last:
-                done, prev_obj = _record_check(state, k, work, project(z), gap * yscale, yscale,
-                                               bound, prev_obj, cfg, keep_trace, last | infeasible)
+                dz = proj.forward(z) - yq
+                # the fraction of the correction that brings the candidate's
+                # residual within the range down to the ball (1 for equality)
+                off = np.linalg.norm(sv * dz, axis=1)
+                inside = np.minimum(off, radius)
+                step = np.where(off > 0, 1.0 - inside / np.where(off > 0, off, 1.0), 0.0)
+                cand = z - step[:, None] * proj.adjoint(dz)
+                done, prev_obj = _record_check(state, k, work, cand, np.hypot(inside, gap) * yscale,
+                                               yscale, bound, prev_obj, cfg, keep_trace,
+                                               last | infeasible)
                 stopped[work[done]] = True
                 kidx = np.flatnonzero(~(done | infeasible))
                 if last or kidx.size == 0:
                     break
                 if kidx.size < work.size:
-                    work, yq, gap, yscale = work[kidx], yq[kidx], gap[kidx], yscale[kidx]
-                    infeasible = infeasible[kidx]
-                    z, u, prev_obj = z[kidx], u[kidx], prev_obj[kidx]
+                    work, yscale, infeasible, prev_obj, z, u, w, v, sv, yq, gap, radius = (
+                        arr[kidx] for arr in (work, yscale, infeasible, prev_obj, z, u, w, v, sv,
+                                              yq, gap, radius))
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved
                     for j, s in enumerate(kidx):
                         if j != s:
                             qt[j] = qt[s]
-                    proj = BatchedOperator(qt[:kidx.size], None)
+                    proj = BatchedOperator(qt[:kidx.size], op.basis)
 
     state.residual = np.linalg.norm(op.forward(state.theta) - y, axis=1)
     state.objective = np.abs(state.theta).sum(axis=1)
     state.converged |= stopped & (state.residual <= bound)
-    return state
-
-
-def _pdhg_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
-    """Primal-dual iterations over a batch of independent problems.
-
-    A problem that reaches feasibility and an l1 plateau leaves the working
-    set at that residual check, so a sweep costs what its slow problems need
-    and not the whole batch times the slowest.  With the shared power-
-    iteration start vector (_operator_norms), every row operation here is
-    per problem: a problem's result, iteration count and converged flag are
-    bit-identical whether it is solved alone or in any batch.
-    """
-    m, n = op.m, op.n
-    y, ynorm, state = _start(op, y)
-    feas_rel = max(cfg.feasibility_tol, cfg.relaxed_epsilon)
-    bound_full = feas_rel * ynorm
-    work = np.flatnonzero(ynorm > 0)
-    if work.size:
-        sub = op if work.size == op.batch else op.take(work)
-        # solve against y/||y||: the iteration is not scale-equivariant (the
-        # soft-threshold has a fixed size), so normalizing keeps small-residual
-        # problems in the same well-tuned regime as unit-scale ones
-        yscale = ynorm[work]
-        ysub = y[work] / yscale[:, None]
-        L = np.maximum(_operator_norms(sub), 1e-12)
-        tau = _STEP_RATIO * 0.95 / L
-        sigma = 0.95 / (_STEP_RATIO * L)
-        x = np.zeros((work.size, n))
-        z = np.zeros((work.size, m))
-        prev_obj = np.full(work.size, np.inf)
-
-        k = 0
-        while k < cfg.max_solver_iters:
-            k += 1
-            xt = _soft_threshold(x - tau[:, None] * sub.adjoint(z), tau[:, None])
-            w = z + sigma[:, None] * (sub.forward(2.0 * xt - x) - ysub)
-            if cfg.relaxed_epsilon > 0:
-                wn = np.linalg.norm(w, axis=1)
-                scale = np.maximum(0.0, 1.0 - sigma * cfg.relaxed_epsilon / np.maximum(wn, 1e-300))
-                zt = w * scale[:, None]
-            else:
-                zt = w
-            x = x + _RELAX * (xt - x)
-            z = z + _RELAX * (zt - z)
-
-            last = k == cfg.max_solver_iters
-            if k % _CHECK_EVERY == 0 or last:
-                res = np.linalg.norm(sub.forward(x) - ysub, axis=1) * yscale
-                done, prev_obj = _record_check(state, k, work, x, res, yscale, bound_full, prev_obj,
-                                               cfg, keep_trace, last)
-                kidx = np.flatnonzero(~done)
-                if last or kidx.size == 0:
-                    break
-                if kidx.size < work.size:
-                    work = work[kidx]
-                    sub = sub.take(kidx)
-                    ysub = ysub[kidx]
-                    yscale = yscale[kidx]
-                    tau = tau[kidx]
-                    sigma = sigma[kidx]
-                    x = x[kidx]
-                    z = z[kidx]
-                    prev_obj = prev_obj[kidx]
-
-    state.converged = np.isfinite(state.objective) & (state.residual <= bound_full + 1e-300)
     return state
 
 
@@ -469,12 +426,12 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: Sol
     """Recover the minimum-l1 coefficient vector consistent with y.
 
     a is the dense m x n sensing matrix; basis is the sparsity basis (None
-    means identity).  Returns the best feasible iterate encountered;
-    converged=False flags a solve that did not finish within
-    max_solver_iters (see SolveConfig for what each algorithm counts).
+    means identity), composed into a before the solve.  Returns the best
+    feasible iterate encountered; converged=False flags a solve that did not
+    finish within max_solver_iters (see SolveConfig).
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(_dense_matrix(a)[None], basis)
+    op = BatchedOperator(*_compose(_dense_matrix(a)[None], basis))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
@@ -496,11 +453,12 @@ def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     phi: (S, m, n) stack of sensing matrices.  With a per-slice basis (size n
     or None) y is (S, m) and the S problems are independent; the
     reconstruction sweeps use this, where every row/band poses the same sized
-    problem.  With a joint basis (size S*n) y is (1, S*m) and the result is
-    one joint problem, as in the Kronecker initialization.
+    problem.  With a joint basis (size S*n, slice axis last) y is (1, S*m)
+    and the result is one joint problem, as in the Kronecker initialization.
+    The basis's per-slice part is composed into a copy of phi (_compose).
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(phi, basis)
+    op = BatchedOperator(*_compose(np.asarray(phi, dtype=np.float64), basis))
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")
@@ -515,7 +473,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     atom norm), then a least-squares refit over the active set.  Stops after
     sparsity_budget atoms or once the residual drops below residual_tol*||y||.
     The composed dictionary A*Psi is materialized from the dense sensing
-    matrix a (one batched analysis over its rows).
+    matrix a as for solve_l1 (_compose).
     """
     if sparsity_budget is None and residual_tol is None:
         raise ValueError("need sparsity_budget or residual_tol")
@@ -524,9 +482,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     if residual_tol is not None and residual_tol <= 0:
         raise ValueError("residual_tol must be > 0")
 
-    a = _dense_matrix(a)
-    # row k of A*Psi is the analysis transform of row k of A
-    dictionary = a if basis is None else transforms.analyze(basis, a)
+    dictionary = _compose(_dense_matrix(a)[None], basis)[0][0]
     m, n = dictionary.shape
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != m:

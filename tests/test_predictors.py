@@ -134,6 +134,55 @@ class TestBlockLS:
         with pytest.raises(ValueError):
             predict_band_blockls(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    def test_band_within_one_block_gets_the_single_fit(self):
+        # every window is the whole band, so the windowed fit is the one fit
+        rng = np.random.default_rng(12)
+        ref, target = rng.random((12, 10)), rng.random((12, 10))
+        pred, alphas = predict_band_blockls(ref, target)
+        c = ref - ref.mean()
+        alpha = np.sum(c * (target - target.mean())) / np.sum(c * c)
+        assert alphas.shape == (1, 1) and alphas[0, 0] == pytest.approx(alpha, abs=1e-12)
+        np.testing.assert_allclose(pred, target.mean() + alpha * c, atol=1e-12)
+
+    def test_grid_holds_the_fit_of_each_block(self):
+        # a full block's window is the block itself; a trailing partial
+        # block's is the full-size window shifted inward over it
+        rng = np.random.default_rng(13)
+        ref, target = rng.random((40, 36)), rng.random((40, 36))
+        _, alphas = predict_band_blockls(ref, target)
+        assert alphas.shape == (3, 3)
+        for bi, r0 in enumerate((0, 16, 24)):
+            for bj, c0 in enumerate((0, 16, 20)):
+                rb, tb = ref[r0:r0 + 16, c0:c0 + 16], target[r0:r0 + 16, c0:c0 + 16]
+                x = (rb - rb.mean()).ravel()
+                alpha_ls = np.linalg.lstsq(x[:, None], (tb - tb.mean()).ravel(), rcond=None)[0][0]
+                assert alphas[bi, bj] == pytest.approx(alpha_ls, abs=1e-10)
+
+    def test_error_does_not_jump_at_block_edges(self):
+        # a gain that drifts across the band: separate fits per block would
+        # leave a step in the prediction error at every block edge
+        yy, xx = np.mgrid[0:40, 0:40] / 40.0
+        ref = np.sin(3 * xx + 1) * np.cos(2 * yy) + xx * yy
+        target = ref * (1.0 + xx) + 0.3 * yy
+        pred, _ = predict_band_blockls(ref, target)
+        for axis in (0, 1):
+            step = np.abs(np.diff(target - pred, axis=axis))
+            edges = np.take(step, [15, 31], axis=axis)
+            assert edges.max() <= np.delete(step, [15, 31], axis=axis).max()
+
+    def test_flat_windows_fall_back_to_the_window_mean(self):
+        # a reference flat on its left part: the windows there fit no gain
+        rng = np.random.default_rng(14)
+        ref = np.full((16, 40), 0.1)
+        ref[:, 24:] += rng.random((16, 16))
+        target = rng.random((16, 40))
+        pred, alphas = predict_band_blockls(ref, target)
+        assert alphas[0, 0] == 0.0 and alphas[0, 2] != 0.0
+        # column 0 averages the fits of columns 0-15, whose windows start at
+        # columns 0-7 and are all flat: each contributes its window mean
+        means = [target[:, max(j - 8, 0):max(j - 8, 0) + 16].mean() for j in range(16)]
+        np.testing.assert_allclose(pred[:, 0], np.mean(means), atol=1e-12)
+
 
 class TestTwoSided:
     def test_identical_neighbors_equal_one_sided(self):

@@ -329,6 +329,36 @@ class TestReconstruct3D:
         with pytest.raises(ValueError):
             reconstruct_3d(ms, None, ReconConfig(filter=P1))
 
+    def test_kcs_reference_scene_ends_below_its_initialization(self):
+        # the benchmark's reference bands3d scene: scene and ensemble seed 0,
+        # m=144, KCS init, blockls, 2 iterations.  The joint solve converges,
+        # and the loop keeps its better start instead of adding seams to it
+        cube = dataio.synth_cube(0, 24, 24, 12)
+        ms = acquire_bands_3d(cube, SeededSensingEnsemble(0, 12, 144, 576))
+        cfg = ReconConfig(init=recon.INIT_KCS, filter=BlockLSPredictorConfig(), max_outer_iters=2)
+        _, report = reconstruct_3d(ms, None, cfg, ground_truth=cube)
+        assert not report.solver_warnings
+        assert report.mse_trace[-1] < report.mse_trace[0]
+
+
+def _coefficients_for_energy(cube: np.ndarray, fraction: float = 0.999) -> float:
+    """Median over bands of the number of 2-D DCT coefficients that hold
+    fraction of the band's energy."""
+    rows, cols, _ = cube.shape
+    coef = transforms.analyze(transforms.separable2d_basis(rows, cols),
+                              sensing.slices_of(cube, Layout.BANDS_3D))
+    energy = np.cumsum(np.sort(coef ** 2, axis=1)[:, ::-1], axis=1)
+    return float(np.median(np.argmax(energy >= fraction * energy[:, -1:], axis=1) + 1))
+
+
+def test_band_prediction_error_is_about_as_sparse_as_the_bands():
+    # predicted from the true cube, with bands larger than one block: a seam
+    # at every block edge would take many DCT coefficients to represent
+    for seed in range(3):
+        cube = dataio.synth_cube(seed, 24, 24, 12).samples
+        error = cube - recon.predict_cube_bands(BlockLSPredictorConfig(), cube)
+        assert _coefficients_for_energy(error) <= 1.5 * _coefficients_for_energy(cube)
+
 
 class TestMatrixCache:
     """Above the cache cap the sensing matrices are redrawn for every sweep;

@@ -35,16 +35,20 @@ def random_stack(seed, slices, m, n):
     return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(m), (slices, m, n))
 
 
+def cross_only(d0, d1, slices, cross=tr.DCT):
+    """The joint basis with identity per-slice factors: Psi_cross (x) I."""
+    return tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, cross))
+
+
 class TestBatchedOperator:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(1, 4), m=st.integers(1, 6),
            d0=st.integers(1, 4), d1=st.integers(1, 4), joint=st.booleans())
     def test_adjoint_identity(self, seed, slices, m, d0, d1, joint):
-        # <B theta, w> = <theta, B^T w> for a per-slice and a joint basis
+        # <B theta, w> = <theta, B^T w> for independent slices and a joint basis
         n = d0 * d1
-        basis = tr.separable3d_basis(d0, d1, slices) if joint else tr.separable2d_basis(d0, d1)
-        op = BatchedOperator(random_stack(seed, slices, m, n), basis)
-        assert op.joint == (joint and slices > 1)
+        op = BatchedOperator(random_stack(seed, slices, m, n), cross_only(d0, d1, slices) if joint else None)
+        assert op.joint == joint
         rng = np.random.default_rng(seed + 1)
         theta = rng.normal(size=(op.batch, op.n))
         w = rng.normal(size=(op.batch, op.m))
@@ -55,11 +59,11 @@ class TestBatchedOperator:
     def test_joint_forward_is_block_diagonal_times_joint_synthesis(self):
         slices, m, rows, cols = 3, 5, 3, 4
         phi = random_stack(7, slices, m, rows * cols)
-        joint = tr.separable3d_basis(rows, cols, slices)
-        op = BatchedOperator(phi, joint)
+        cross = cross_only(rows, cols, slices)
+        op = BatchedOperator(phi, cross)
         assert (op.batch, op.m, op.n) == (1, slices * m, slices * rows * cols)
         theta = np.random.default_rng(8).normal(size=slices * rows * cols)
-        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(cross)
         np.testing.assert_allclose(op.forward(theta[None])[0], dense @ theta, atol=1e-12)
         w = np.random.default_rng(9).normal(size=slices * m)
         np.testing.assert_allclose(op.adjoint(w[None])[0], dense.T @ w, atol=1e-12)
@@ -72,51 +76,56 @@ class TestBatchedOperator:
         # blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I)
         phi = random_stack(seed, slices, m, d0 * d1)
         joint = tr.separable3d_basis(d0, d1, slices, factors)
-        slice_basis, cross = tr.split_slice_axis(joint, slices)
-        composed = tr.analyze(slice_basis, phi)
-        cross_only = tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, cross))
-        raw_op, op = BatchedOperator(phi, joint), BatchedOperator(composed, cross_only)
+        composed, rest = solvers._compose(phi, joint)
+        assert rest == cross_only(d0, d1, slices, factors[2])
+        op = BatchedOperator(composed, rest)
         dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
         rng = np.random.default_rng(seed + 1)
         theta = rng.normal(size=(1, op.n))
         w = rng.normal(size=(1, op.m))
-        for fwd in (op.forward(theta), raw_op.forward(theta)):
-            np.testing.assert_allclose(fwd[0], dense @ theta[0], rtol=0, atol=1e-12)
-        for adj in (op.adjoint(w), raw_op.adjoint(w)):
-            np.testing.assert_allclose(adj[0], dense.T @ w[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("slices", [solvers._DENSE_CROSS_MAX, solvers._DENSE_CROSS_MAX + 1])
     def test_cross_factor_on_both_sides_of_the_dense_limit(self, monkeypatch, slices):
-        # up to the limit the cross-slice DCT is a matrix product and the
-        # composed stack runs no transform; past it the transform runs
+        # up to the limit the cross-slice DCT is a matrix product and no
+        # transform runs; past it the transform runs
         m, d0, d1 = 2, 2, 2
         phi = random_stack(13, slices, m, d0 * d1)
         joint = tr.separable3d_basis(d0, d1, slices)
         composed = tr.analyze(tr.separable2d_basis(d0, d1), phi)
-        cross_only = tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, tr.DCT))
         dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
         rng = np.random.default_rng(14)
         theta, w = rng.normal(size=(1, slices * d0 * d1)), rng.normal(size=(1, slices * m))
         calls = []
         synthesize = tr.synthesize
         monkeypatch.setattr(tr, "synthesize", lambda *a: calls.append(a) or synthesize(*a))
-        for op in (BatchedOperator(composed, cross_only), BatchedOperator(phi, joint)):
-            np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
-            if op.phi is composed:
-                assert len(calls) == (slices > solvers._DENSE_CROSS_MAX)
+        op = BatchedOperator(composed, cross_only(d0, d1, slices))
+        np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
+        assert len(calls) == (slices > solvers._DENSE_CROSS_MAX)
+
+    def test_per_slice_factors_must_be_composed_first(self):
+        phi = random_stack(15, 3, 4, 8)
+        for basis in (tr.separable3d_basis(2, 4, 3), tr.separable3d_basis(2, 4, 3, (tr.DCT, tr.IDENTITY, tr.IDENTITY))):
+            with pytest.raises(ValueError, match="compose them first"):
+                BatchedOperator(phi, basis)
 
     def test_joint_basis_without_the_slice_axis_last_rejected(self):
         phi = random_stack(12, 3, 4, 8)
         for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), tr.separable3d_basis(3, 2, 4)):
             with pytest.raises(ValueError, match="slice axis last"):
                 BatchedOperator(phi, basis)
+            with pytest.raises(ValueError, match="slice axis last"):
+                solve_l1_batch(phi, basis, np.ones((1, 12)))
 
     def test_basis_of_other_size_rejected(self):
         phi = random_stack(10, 3, 4, 8)
         for size in (7, 16, 25):
             with pytest.raises(ValueError, match="basis size"):
                 BatchedOperator(phi, tr.dct1d_basis(size))
+            with pytest.raises(ValueError, match="basis size"):
+                solve_l1_batch(phi, tr.dct1d_basis(size), np.ones((3, 4)))
 
     def test_joint_solve_matches_dense_solve(self):
         # a joint solve on the stack and a solve on the materialized
@@ -133,11 +142,31 @@ class TestBatchedOperator:
         assert state.converged[0] and dense.converged
         np.testing.assert_allclose(state.theta[0], dense.theta_hat, atol=1e-6)
 
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d0=st.integers(2, 3),
+           slices=st.sampled_from((solvers._DENSE_CROSS_MAX, solvers._DENSE_CROSS_MAX + 1)))
+    def test_converged_joint_solves_meet_the_bound_on_the_kronecker_matrix(self, seed, d0, slices):
+        # on both sides of the dense cross-slice limit (a product up to it, the
+        # transform past it), checked on the materialized Kronecker matrix
+        rng = np.random.default_rng(seed)
+        phi = random_stack(seed, slices, 2, 2 * d0)
+        joint = tr.separable3d_basis(d0, 2, slices)
+        theta = np.zeros(slices * 2 * d0)
+        theta[rng.choice(theta.size, slices // 4, replace=False)] = rng.normal(size=slices // 4)
+        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        y = dense @ theta
+        cfg = SolveConfig()
+        state = solve_l1_batch(phi, joint, y[None], cfg)
+        resid = np.linalg.norm(dense @ state.theta[0] - y)
+        assert abs(resid - state.residual[0]) <= 1e-12 * np.linalg.norm(y)
+        if state.converged[0]:
+            assert resid <= cfg.feasibility_tol * np.linalg.norm(y)
+
 
 class TestBatchIndependence:
     @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), with_basis=st.booleans())
-    def test_result_does_not_depend_on_the_batch(self, seed, with_basis):
+    @given(seed=st.integers(0, 2**32 - 1), with_basis=st.booleans(), relaxed=st.booleans())
+    def test_result_does_not_depend_on_the_batch(self, seed, with_basis, relaxed):
         # each problem stops at its own check from the same start vector, so
         # alone, in the full batch and in a subset it gives the same bits
         slices, m, n = 8, 8, 16
@@ -151,7 +180,8 @@ class TestBatchIndependence:
         x = theta if basis is None else tr.synthesize(basis, theta)
         y = np.matmul(phi, x[:, :, None])[..., 0]
         # the sweep tolerances: the problems stop at different checks
-        cfg = SolveConfig(feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=600)
+        cfg = SolveConfig(feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=600,
+                          relaxed_epsilon=0.01 if relaxed else 0.0)
         subset = np.flatnonzero(rng.random(slices) < 0.5)
         full = solve_l1_batch(phi, basis, y, cfg)
         part = solve_l1_batch(phi[subset], basis, y[subset], cfg)
@@ -166,14 +196,14 @@ class TestBatchIndependence:
 class TestAlgorithmChoice:
     @pytest.mark.parametrize("basis, cfg, algorithm", [
         (None, SolveConfig(), "_admm_batch"),
-        (tr.dct1d_basis(16), SolveConfig(), "_pdhg_batch"),
-        (None, SolveConfig(relaxed_epsilon=0.01), "_pdhg_batch"),
+        (tr.dct1d_basis(16), SolveConfig(), "_admm_batch"),
+        (None, SolveConfig(relaxed_epsilon=0.01), "_admm_batch"),
     ])
     def test_one_place_picks_the_algorithm(self, monkeypatch, basis, cfg, algorithm):
-        # equality solves on an explicit matrix run ADMM; a basis inside the
-        # operator or a relaxed constraint keeps the primal-dual iteration
+        # every underdetermined solve runs ADMM, with or without a basis and
+        # relaxed or not; m >= n is least squares
         calls = []
-        for name in ("_admm_batch", "_pdhg_batch", "_determined_batch"):
+        for name in ("_admm_batch", "_determined_batch"):
             original = getattr(solvers, name)
             monkeypatch.setattr(solvers, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
@@ -183,10 +213,9 @@ class TestAlgorithmChoice:
         solve_l1(np.vstack([a, a]), basis, np.concatenate([y, y]), cfg)
         assert calls == [algorithm, algorithm, "_determined_batch"]
 
-    def test_admm_and_pdhg_agree_on_dct_sparse_problems(self):
-        # the sweeps' route (basis None on the composed A*Psi, ADMM) and the
-        # basis route (A with the DCT inside the operator, PDHG) solve the
-        # same l1 problem
+    def test_basis_and_composed_routes_agree(self):
+        # a basis is composed into the matrix before the solve: solving with
+        # it and solving on the composed A*Psi are one computation
         n, k, m = 64, 4, 32
         basis = tr.dct1d_basis(n)
         for seed in range(5):
@@ -195,11 +224,12 @@ class TestAlgorithmChoice:
             theta[rng.choice(n, k, replace=False)] = rng.normal(0, 1, k) + 0.5
             a = rng.normal(0, 1 / np.sqrt(m), (m, n))
             y = a @ tr.synthesize(basis, theta)
-            admm = solve_l1(tr.analyze(basis, a), None, y)
-            pdhg = solve_l1(a, basis, y)
-            assert admm.converged and pdhg.converged
-            np.testing.assert_allclose(admm.theta_hat, pdhg.theta_hat, atol=1e-5)
-            assert abs(admm.l1_objective - pdhg.l1_objective) <= 1e-4 * pdhg.l1_objective
+            composed = solve_l1(tr.analyze(basis, a), None, y)
+            with_basis = solve_l1(a, basis, y)
+            assert composed.converged and with_basis.converged
+            assert np.array_equal(composed.theta_hat, with_basis.theta_hat)
+            assert composed.iterations == with_basis.iterations
+            np.testing.assert_allclose(with_basis.theta_hat, theta, atol=1e-5)
 
 
 class TestEqualitySolveFeasibility:
