@@ -50,10 +50,6 @@ DEFAULT_SWEEP_SOLVER = SolveConfig(
 # largest joint Kronecker system (slices x slice length) init_kcs takes on
 KCS_MAX_UNKNOWNS = 1 << 18
 
-# a reconstruction keeps its whole stack of sensing matrices when it fits in
-# this many bytes; larger stacks are redrawn chunk by chunk on every sweep
-MATRIX_CACHE_BYTES = 1 << 28
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -111,20 +107,19 @@ class _PhiProvider:
     Every stack holds B_s = Phi_s*Psi for the slice basis Psi: each chunk of
     raw matrices is overwritten in place as it is drawn, one slice at a time,
     so no second stack is held.  The stack is drawn once per reconstruction
-    when it fits in cache_max_bytes, and chunk by chunk on every request
-    otherwise.  Every l1 solve of a reconstruction runs on B, which leaves
-    the sweeps' inner iterations free of transforms and the Kronecker
+    when it is one chunk (sensing.chunk_length), and chunk by chunk on every
+    request otherwise.  Every l1 solve of a reconstruction runs on B, which
+    leaves the sweeps' inner iterations free of transforms and the Kronecker
     initialization with only its cross-slice factor.
     """
 
-    def __init__(self, ensemble: sensing.SeededSensingEnsemble, basis: SparsityBasis,
-                 cache_max_bytes: int = MATRIX_CACHE_BYTES):
+    def __init__(self, ensemble: sensing.SeededSensingEnsemble, basis: SparsityBasis):
         if basis.size != ensemble.n:
             raise ValueError(f"basis size {basis.size} does not match slice length {ensemble.n}")
         self.ensemble = ensemble
         self.basis = basis
-        total = ensemble.num_slices * ensemble.m * ensemble.n * 8
-        self._full = self._draw(0, ensemble.num_slices) if total <= cache_max_bytes else None
+        whole = sensing.chunk_length(ensemble) == ensemble.num_slices
+        self._full = self._draw(0, ensemble.num_slices) if whole else None
 
     def _draw(self, start: int, stop: int) -> np.ndarray:
         return _compose_in_place(self.basis, sensing.draw_sensing_stack(self.ensemble, start, stop))
@@ -139,11 +134,6 @@ class _PhiProvider:
         if self._full is not None:
             return self._full[start:stop]
         return self._draw(start, stop)
-
-    def chunk_length(self) -> int:
-        if self._full is not None:
-            return self.ensemble.num_slices
-        return sensing.chunk_length(self.ensemble)
 
 
 def _compose_in_place(basis: SparsityBasis, phi: np.ndarray) -> np.ndarray:
@@ -207,7 +197,7 @@ def _residual_sweep(
     pred_slices = sensing.slices_of(pred_signal, ms.layout)
     new_slices = pred_slices.copy()
     warnings: list[int] = []
-    step = provider.chunk_length()
+    step = sensing.chunk_length(ens)
     for i0 in range(solve_lo, solve_hi, step):
         i1 = min(i0 + step, solve_hi)
         b = provider.stack(i0, i1)

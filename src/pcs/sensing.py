@@ -115,10 +115,16 @@ class MeasurementSet:
             )
 
 
-def chunk_length(ensemble: SeededSensingEnsemble, max_bytes: int = 1 << 27) -> int:
-    """Slices per chunk, so that one chunk of sensing matrices fits in max_bytes."""
+# bytes of sensing matrices in one chunk, drawn at once by acquisition and by
+# each residual sweep; a reconstruction keeps its whole stack when it is one
+# chunk (the Kronecker initialization always draws the whole stack)
+MATRIX_BUDGET_BYTES = 1 << 28
+
+
+def chunk_length(ensemble: SeededSensingEnsemble) -> int:
+    """Slices per chunk, so that one chunk of sensing matrices fits in MATRIX_BUDGET_BYTES."""
     per_slice = ensemble.m * ensemble.n * 8
-    return max(1, min(ensemble.num_slices, max_bytes // per_slice))
+    return max(1, min(ensemble.num_slices, MATRIX_BUDGET_BYTES // per_slice))
 
 
 def slice_geometry(layout: Layout, shape: tuple[int, ...]) -> tuple[int, int]:
@@ -238,7 +244,7 @@ class BlockDiagOperator(LinearOperator):
 
     A scipy LinearOperator view of diag(Phi^0, ..., Phi^{S-1}), for callers
     outside pcs; the l1 solvers apply the same map through
-    solvers.BatchedOperator with a joint basis.  Blocks are cached when the
+    solvers.BatchedOperator(phi, "identity").  Blocks are cached when the
     whole stack fits in cache_max_bytes and regenerated per call otherwise,
     so the full block-diagonal matrix is never formed.
     """

@@ -9,15 +9,18 @@ Kronecker problem.  A basis given to solve_l1 or solve_l1_batch is composed
 into the matrices first (_compose: row k of A*Psi is the analysis transform
 of row k of A); of a joint basis only the per-slice part is, and the
 cross-slice factor stays inside the operator.  The reconstruction composes
-its stack itself as it draws it, and passes basis None to the sweeps and the
-cross-slice factor alone to the Kronecker initialization.
+its stack itself as it draws it, and passes basis None to the sweeps and a
+joint basis with identity per-slice factors to the Kronecker initialization.
 
 Each slice's rows are factored once per call (an eigendecomposition of the
 m x m Gram matrix, rank-revealing), and the iterations apply the orthonormal
-factor through BatchedOperator.  m >= n is least squares.  Problems in a
-batch are solved independently: each leaves the batch at its own stop, with
-a result that does not depend on the batch.  solve_l1 and solve_omp take a
-dense matrix.
+factor through BatchedOperator.  For m >= n of full rank the projection is
+the least-squares point, so it is ADMM's first candidate: a consistent
+system converges once its l1 has plateaued, an inconsistent one leaves at
+its first check with that point, not converged.  Problems in a batch are
+solved independently: each leaves the batch at its own stop, with a result
+that does not depend on the batch.  solve_l1 and solve_omp take a dense
+matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -25,7 +28,7 @@ against independent routes.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,47 +106,41 @@ def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
 class BatchedOperator:
     """The sensing operator of every l1 solve: a stack of per-slice matrices.
 
-    phi has shape (S, m, n).  With basis None the S problems are independent:
-    forward maps coefficient rows (S, n) to measurement rows (S, m).  A joint
-    basis of size S*n makes one problem (Kronecker CS): forward synthesizes
-    the stacked vector (1, S*n), applies each slice's matrix to its segment
-    and returns (1, S*m).
-
-    The joint basis must put the slice axis last and have identity factors on
-    the other axes: it is Psi_cross (x) I.  The per-slice part of a Kronecker
-    basis belongs in the matrices, since blockdiag(Phi_s)*(Psi_cross (x)
-    Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I) (_compose).  A
-    cross-slice DCT over at most _DENSE_CROSS_MAX slices is applied as one
-    S x S matrix product on the (S, n) array of segments; over more slices
-    the S^2*n product costs more than the transform, which then runs instead.
+    phi has shape (S, m, n).  With cross None the S problems are independent:
+    forward maps coefficient rows (S, n) to measurement rows (S, m).  A
+    cross-slice factor ("identity" or "dct") makes one problem (Kronecker CS)
+    in the joint basis Psi_cross (x) I: forward synthesizes the stacked
+    vector (1, S*n) across slices, applies each slice's matrix to its segment
+    and returns (1, S*m).  A per-slice basis belongs in the matrices, since
+    blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*
+    (Psi_cross (x) I) (_compose).  A cross-slice DCT over at most
+    _DENSE_CROSS_MAX slices is applied as one S x S matrix product on the
+    (S, n) array of segments; over more slices the S^2*n product costs more
+    than the transform, which then runs instead.
     """
 
-    def __init__(self, phi: np.ndarray, basis: SparsityBasis | None = None):
+    def __init__(self, phi: np.ndarray, cross: str | None = None):
         self.phi = np.asarray(phi, dtype=np.float64)
-        self.basis = basis
+        self.cross = cross
         slices, m, n = self.phi.shape
-        self._cross = self._transform = None
-        if basis is None:
+        self._dense = self._transform = None
+        if cross is None:
             self.joint, self.batch, self.m, self.n = False, slices, m, n
             return
-        if basis.size != slices * n:
-            raise ValueError(f"basis size {basis.size} does not match {slices} slices of n ({slices * n})")
-        slice_part, cross = transforms.split_slice_axis(basis, slices)
-        if any(f != transforms.IDENTITY for f in slice_part.factors):
-            raise ValueError(f"the per-slice factors {slice_part.factors} of a joint basis belong "
-                             "in the matrices: compose them first")
+        if cross not in (transforms.IDENTITY, transforms.DCT):
+            raise ValueError(f"unknown cross-slice factor {cross!r}")
         self.joint, self.batch, self.m, self.n = True, 1, slices * m, slices * n
         if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
-            self._cross = transforms.dct_matrix(slices)
+            self._dense = transforms.dct_matrix(slices)
         elif cross == transforms.DCT:
-            self._transform = basis
+            self._transform = transforms.join_slice_axis(transforms.identity_basis(n), slices, cross)
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
         """Coefficients (batch, n) -> per-slice signals (S, n_slice)."""
         slices, _, n = self.phi.shape
         x = theta.reshape(slices, n)
-        if self._cross is not None:
-            x = self._cross.T @ x
+        if self._dense is not None:
+            x = self._dense.T @ x
         if self._transform is not None:
             x = transforms.synthesize(self._transform, x.reshape(1, -1))
         return x.reshape(slices, n)
@@ -152,8 +149,8 @@ class BatchedOperator:
         """Per-slice signals (S, n_slice) -> coefficients (batch, n); inverse of synthesize."""
         if self._transform is not None:
             x = transforms.analyze(self._transform, x.reshape(1, -1))
-        if self._cross is not None:
-            x = self._cross @ x.reshape(self.phi.shape[0], -1)
+        if self._dense is not None:
+            x = self._dense @ x.reshape(self.phi.shape[0], -1)
         return x.reshape(self.batch, self.n)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
@@ -165,27 +162,27 @@ class BatchedOperator:
 
 
 def _compose(phi: np.ndarray, basis: SparsityBasis | None):
-    """(phi with the per-slice part of basis composed in, the basis left to the operator).
+    """(phi with the per-slice part of basis composed in, the cross-slice factor or None).
 
     A basis of the slice length n is composed whole and leaves None; a joint
-    basis over the S slices of phi (slice axis last) leaves its cross-slice
-    factor alone, Psi_cross (x) I.  Row k of Phi_s*Psi is the analysis
-    transform of row k of Phi_s; an identity part leaves phi as it is.
+    basis over the S slices of phi (slice axis last) is the one place a joint
+    basis is split, and leaves its cross-slice factor to the operator.  Row k
+    of Phi_s*Psi is the analysis transform of row k of Phi_s; an identity
+    part leaves phi as it is.
     """
     if basis is None:
         return phi, None
     slices, _, n = phi.shape
     if basis.size == n:
-        part, rest = basis, None
+        part, cross = basis, None
     elif basis.size == slices * n:
         part, cross = transforms.split_slice_axis(basis, slices)
-        rest = replace(basis, factors=(transforms.IDENTITY,) * len(part.dims) + (cross,))
     else:
         raise ValueError(f"basis size {basis.size} matches neither n={n} "
                          f"nor {slices} slices of n ({slices * n})")
     if all(f == transforms.IDENTITY for f in part.factors):
-        return phi, rest
-    return transforms.analyze(part, phi), rest
+        return phi, cross
+    return transforms.analyze(part, phi), cross
 
 
 @dataclass
@@ -198,31 +195,6 @@ class BatchSolveState:
     iterations: np.ndarray
     converged: np.ndarray
     traces: list
-
-
-def _solve_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
-    """The one place that picks the algorithm for a batch: m >= n pins theta
-    (least squares), anything else runs ADMM."""
-    if op.m >= op.n:
-        return _determined_batch(op, y, cfg, keep_trace)
-    return _admm_batch(op, y, cfg, keep_trace)
-
-
-def _determined_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
-    """Degenerate m >= n case: the constraint set pins theta, so l1 plays no
-    role; least squares on each slice's matrix, then the analysis transform,
-    recovers the unique consistent point."""
-    y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
-    slices, m, _ = op.phi.shape
-    x = np.array([np.linalg.lstsq(p, v, rcond=None)[0] for p, v in zip(op.phi, y.reshape(slices, m))])
-    theta = op.analyze(x)
-    residual = np.linalg.norm(op.forward(theta) - y, axis=1)
-    objective = np.abs(theta).sum(axis=1)
-    bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * np.linalg.norm(y, axis=1)
-    converged = residual <= np.maximum(bound, 1e-300)
-    traces = [[(0, float(o), float(r))] if keep_trace else [] for o, r in zip(objective, residual)]
-    iterations = np.zeros(op.batch, dtype=np.int64)
-    return BatchSolveState(theta, residual, objective, iterations, converged, traces)
 
 
 def _start(op, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, BatchSolveState]:
@@ -288,7 +260,7 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     one m x m matrix are held.
 
     A joint problem factors every slice.  Its cross-slice factor is
-    orthonormal, so BatchedOperator(Q^T, op.basis) turns P into the exact
+    orthonormal, so BatchedOperator(Q^T, op.cross) turns P into the exact
     projection onto the joint constraints, Psi_cross^T P Psi_cross, and its
     gap is the l2 norm of the slices' gaps.  Returns (Q^T, sv, yq, gap): the
     stack, and per problem in work the singular values sqrt(w) (0 for null
@@ -320,8 +292,8 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
 
     Each slice's rows are factored once (_row_space) into an orthonormal
     stack Q^T that this function owns, applied through a BatchedOperator over
-    Q^T with the operator's cross-slice factor, so the iterations need no
-    power iteration and no step sizes.  With a = z - u, each iteration is
+    Q^T with op.cross, so the iterations need no power iteration and no step
+    sizes.  With a = z - u, each iteration is
         x = a - Q(Q^T a - q),  z = soft(x + u, 1/rho),  u += x - z.
     Equality-constrained, q = yq and x is the projection P(a).  Relaxed to
     ||B theta - y|| <= epsilon ||y||, it splits off the residual in the
@@ -339,10 +311,13 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     rounding; a problem is done, and converged, when its l1 has plateaued.
     A problem whose measurements lie farther from the range of its matrix
     than the bound (gap) can never be feasible: it leaves at its first check
-    with its least-squares candidate, not converged.  A problem that leaves
-    the working set has its Q^T rows overwritten by compaction in place, so
-    every row operation is per problem and a result is bit-identical alone or
-    in any batch.  The reported residual is recomputed on the caller's stack.
+    with its least-squares candidate, not converged.  When m >= n and B has
+    full rank, P(v) is the least-squares point for every v, so an equality
+    solve's first check already holds the answer and its second finds the l1
+    plateaued.  A problem that leaves the working set has its Q^T rows
+    overwritten by compaction in place, so every row operation is per problem
+    and a result is bit-identical alone or in any batch.  The reported
+    residual is recomputed on the caller's stack.
     """
     y, ynorm, state = _start(op, y)
     bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * ynorm
@@ -361,7 +336,7 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         w = np.zeros_like(yq)
         v = np.zeros_like(yq)
         prev_obj = np.full(work.size, np.inf)
-        proj = BatchedOperator(qt, op.basis)
+        proj = BatchedOperator(qt, op.cross)
 
         # gap is fixed by the factorization: whether a problem can ever be
         # feasible is known now, and one that cannot leaves at its first check
@@ -406,7 +381,7 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                     for j, s in enumerate(kidx):
                         if j != s:
                             qt[j] = qt[s]
-                    proj = BatchedOperator(qt[:kidx.size], op.basis)
+                    proj = BatchedOperator(qt[:kidx.size], op.cross)
 
     state.residual = np.linalg.norm(op.forward(state.theta) - y, axis=1)
     state.objective = np.abs(state.theta).sum(axis=1)
@@ -435,7 +410,7 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: Sol
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
-    state = _solve_batch(op, y[None, :], cfg, keep_trace)
+    state = _admm_batch(op, y[None, :], cfg, keep_trace)
     return SolveResult(
         theta_hat=state.theta[0],
         residual_l2=float(state.residual[0]),
@@ -462,7 +437,7 @@ def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")
-    return _solve_batch(op, y, cfg, keep_trace=False)
+    return _admm_batch(op, y, cfg, keep_trace=False)
 
 
 def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,

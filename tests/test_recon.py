@@ -361,20 +361,23 @@ def test_band_prediction_error_is_about_as_sparse_as_the_bands():
 
 
 class TestMatrixCache:
-    """Above the cache cap the sensing matrices are redrawn for every sweep;
-    the numbers must not change."""
+    """Above the matrix budget the sensing matrices are redrawn chunk by chunk
+    for every sweep; the numbers must not change."""
 
     @staticmethod
-    def _both(monkeypatch, run):
+    def _both(monkeypatch, ens, run):
         cached = run()
-        monkeypatch.setattr(recon, "MATRIX_CACHE_BYTES", 0)
+        # three slices per chunk: the stack splits into at least two chunks
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 3 * ens.m * ens.n * 8)
+        assert sensing.chunk_length(ens) == 3 < ens.num_slices
         return cached, run()
 
     def test_separate_2d_redraw_is_bit_identical(self, monkeypatch):
         img = dataio.synth_image(50, 16, 16)
         ms = acquire_rows_2d(img, SeededSensingEnsemble(51, 16, 6, 16))
         cfg = ReconConfig(max_outer_iters=2)
-        (a, ra), (b, rb) = self._both(monkeypatch, lambda: reconstruct_2d(ms, None, cfg, ground_truth=img))
+        (a, ra), (b, rb) = self._both(monkeypatch, ms.ensemble,
+                                      lambda: reconstruct_2d(ms, None, cfg, ground_truth=img))
         assert np.array_equal(a.samples, b.samples)
         assert ra.mse_trace == rb.mse_trace
 
@@ -382,7 +385,8 @@ class TestMatrixCache:
         cube = dataio.synth_cube(52, 8, 8, 4)
         ms = acquire_bands_3d(cube, SeededSensingEnsemble(53, 4, 24, 64))
         cfg = ReconConfig(init=recon.INIT_KCS, filter=BlockLSPredictorConfig(), max_outer_iters=2)
-        (a, ra), (b, rb) = self._both(monkeypatch, lambda: reconstruct_3d(ms, None, cfg, ground_truth=cube))
+        (a, ra), (b, rb) = self._both(monkeypatch, ms.ensemble,
+                                      lambda: reconstruct_3d(ms, None, cfg, ground_truth=cube))
         assert np.array_equal(a.samples, b.samples)
         assert ra.mse_trace == rb.mse_trace
 
@@ -396,11 +400,14 @@ class TestComposedProvider:
         ms = acquire_rows_2d(img, SeededSensingEnsemble(61, 12, 6, 16))
         return img, ms, recon._PhiProvider(ms.ensemble, slice_basis_for(ms))
 
-    @pytest.mark.parametrize("cache_bytes", [recon.MATRIX_CACHE_BYTES, 0])
-    def test_compose_analyzes_every_row(self, cache_bytes):
+    @pytest.mark.parametrize("budget", [sensing.MATRIX_BUDGET_BYTES, 0])
+    def test_compose_analyzes_every_row(self, monkeypatch, budget):
+        # a zero budget puts every slice in a chunk of its own: not cached
         _, ms, _ = self._scene()
         basis = slice_basis_for(ms)
-        provider = recon._PhiProvider(ms.ensemble, basis, cache_bytes)
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
+        provider = recon._PhiProvider(ms.ensemble, basis)
+        assert (provider._full is None) == (sensing.chunk_length(ms.ensemble) < 12)
         phi = sensing.draw_sensing_stack(ms.ensemble, 0, 12)
         want = transforms.analyze(basis, phi.reshape(-1, 16)).reshape(phi.shape)
         np.testing.assert_allclose(provider.stack(0, 12), want, rtol=0, atol=1e-12)

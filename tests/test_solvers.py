@@ -35,20 +35,14 @@ def random_stack(seed, slices, m, n):
     return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(m), (slices, m, n))
 
 
-def cross_only(d0, d1, slices, cross=tr.DCT):
-    """The joint basis with identity per-slice factors: Psi_cross (x) I."""
-    return tr.separable3d_basis(d0, d1, slices, (tr.IDENTITY, tr.IDENTITY, cross))
-
-
 class TestBatchedOperator:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(1, 4), m=st.integers(1, 6),
-           d0=st.integers(1, 4), d1=st.integers(1, 4), joint=st.booleans())
-    def test_adjoint_identity(self, seed, slices, m, d0, d1, joint):
-        # <B theta, w> = <theta, B^T w> for independent slices and a joint basis
-        n = d0 * d1
-        op = BatchedOperator(random_stack(seed, slices, m, n), cross_only(d0, d1, slices) if joint else None)
-        assert op.joint == joint
+           n=st.integers(1, 16), cross=st.sampled_from((None, tr.IDENTITY, tr.DCT)))
+    def test_adjoint_identity(self, seed, slices, m, n, cross):
+        # <B theta, w> = <theta, B^T w> for independent slices and a joint problem
+        op = BatchedOperator(random_stack(seed, slices, m, n), cross)
+        assert op.joint == (cross is not None)
         rng = np.random.default_rng(seed + 1)
         theta = rng.normal(size=(op.batch, op.n))
         w = rng.normal(size=(op.batch, op.m))
@@ -59,11 +53,11 @@ class TestBatchedOperator:
     def test_joint_forward_is_block_diagonal_times_joint_synthesis(self):
         slices, m, rows, cols = 3, 5, 3, 4
         phi = random_stack(7, slices, m, rows * cols)
-        cross = cross_only(rows, cols, slices)
-        op = BatchedOperator(phi, cross)
+        op = BatchedOperator(phi, tr.DCT)
         assert (op.batch, op.m, op.n) == (1, slices * m, slices * rows * cols)
         theta = np.random.default_rng(8).normal(size=slices * rows * cols)
-        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(cross)
+        # the joint basis Psi_cross (x) I with a cross-slice DCT
+        dense = block_diag(*phi) @ np.kron(tr.dct_matrix(slices).T, np.eye(rows * cols))
         np.testing.assert_allclose(op.forward(theta[None])[0], dense @ theta, atol=1e-12)
         w = np.random.default_rng(9).normal(size=slices * m)
         np.testing.assert_allclose(op.adjoint(w[None])[0], dense.T @ w, atol=1e-12)
@@ -76,9 +70,9 @@ class TestBatchedOperator:
         # blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I)
         phi = random_stack(seed, slices, m, d0 * d1)
         joint = tr.separable3d_basis(d0, d1, slices, factors)
-        composed, rest = solvers._compose(phi, joint)
-        assert rest == cross_only(d0, d1, slices, factors[2])
-        op = BatchedOperator(composed, rest)
+        composed, cross = solvers._compose(phi, joint)
+        assert cross == factors[2]
+        op = BatchedOperator(composed, cross)
         dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
         rng = np.random.default_rng(seed + 1)
         theta = rng.normal(size=(1, op.n))
@@ -100,30 +94,26 @@ class TestBatchedOperator:
         calls = []
         synthesize = tr.synthesize
         monkeypatch.setattr(tr, "synthesize", lambda *a: calls.append(a) or synthesize(*a))
-        op = BatchedOperator(composed, cross_only(d0, d1, slices))
+        op = BatchedOperator(composed, tr.DCT)
         np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
         assert len(calls) == (slices > solvers._DENSE_CROSS_MAX)
 
-    def test_per_slice_factors_must_be_composed_first(self):
+    def test_unknown_cross_factor_rejected(self):
         phi = random_stack(15, 3, 4, 8)
-        for basis in (tr.separable3d_basis(2, 4, 3), tr.separable3d_basis(2, 4, 3, (tr.DCT, tr.IDENTITY, tr.IDENTITY))):
-            with pytest.raises(ValueError, match="compose them first"):
-                BatchedOperator(phi, basis)
+        for cross in ("wavelet", tr.separable3d_basis(2, 4, 3)):
+            with pytest.raises(ValueError, match="cross-slice factor"):
+                BatchedOperator(phi, cross)
 
     def test_joint_basis_without_the_slice_axis_last_rejected(self):
         phi = random_stack(12, 3, 4, 8)
         for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), tr.separable3d_basis(3, 2, 4)):
-            with pytest.raises(ValueError, match="slice axis last"):
-                BatchedOperator(phi, basis)
             with pytest.raises(ValueError, match="slice axis last"):
                 solve_l1_batch(phi, basis, np.ones((1, 12)))
 
     def test_basis_of_other_size_rejected(self):
         phi = random_stack(10, 3, 4, 8)
         for size in (7, 16, 25):
-            with pytest.raises(ValueError, match="basis size"):
-                BatchedOperator(phi, tr.dct1d_basis(size))
             with pytest.raises(ValueError, match="basis size"):
                 solve_l1_batch(phi, tr.dct1d_basis(size), np.ones((3, 4)))
 
@@ -165,11 +155,12 @@ class TestBatchedOperator:
 
 class TestBatchIndependence:
     @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), with_basis=st.booleans(), relaxed=st.booleans())
-    def test_result_does_not_depend_on_the_batch(self, seed, with_basis, relaxed):
+    @given(seed=st.integers(0, 2**32 - 1), with_basis=st.booleans(), relaxed=st.booleans(),
+           determined=st.booleans())
+    def test_result_does_not_depend_on_the_batch(self, seed, with_basis, relaxed, determined):
         # each problem stops at its own check from the same start vector, so
         # alone, in the full batch and in a subset it gives the same bits
-        slices, m, n = 8, 8, 16
+        slices, m, n = 8, 20 if determined else 8, 16
         rng = np.random.default_rng(seed)
         phi = random_stack(seed, slices, m, n)
         theta = np.zeros((slices, n))
@@ -194,24 +185,22 @@ class TestBatchIndependence:
 
 
 class TestAlgorithmChoice:
-    @pytest.mark.parametrize("basis, cfg, algorithm", [
-        (None, SolveConfig(), "_admm_batch"),
-        (tr.dct1d_basis(16), SolveConfig(), "_admm_batch"),
-        (None, SolveConfig(relaxed_epsilon=0.01), "_admm_batch"),
+    @pytest.mark.parametrize("basis, cfg", [
+        (None, SolveConfig()),
+        (tr.dct1d_basis(16), SolveConfig()),
+        (None, SolveConfig(relaxed_epsilon=0.01)),
     ])
-    def test_one_place_picks_the_algorithm(self, monkeypatch, basis, cfg, algorithm):
-        # every underdetermined solve runs ADMM, with or without a basis and
-        # relaxed or not; m >= n is least squares
+    def test_every_solve_runs_admm(self, monkeypatch, basis, cfg):
+        # with or without a basis, relaxed or not, and for m >= n too
         calls = []
-        for name in ("_admm_batch", "_determined_batch"):
-            original = getattr(solvers, name)
-            monkeypatch.setattr(solvers, name,
-                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        original = solvers._admm_batch
+        monkeypatch.setattr(solvers, "_admm_batch",
+                            lambda *a, **k: calls.append(a[0].m) or original(*a, **k))
         a, _, y = planted_instance(17, 16, 2, 8)
         solve_l1(a, basis, y, cfg)
         solve_l1_batch(a[None], basis, y[None], cfg)
         solve_l1(np.vstack([a, a]), basis, np.concatenate([y, y]), cfg)
-        assert calls == [algorithm, algorithm, "_determined_batch"]
+        assert calls == [8, 8, 16]
 
     def test_basis_and_composed_routes_agree(self):
         # a basis is composed into the matrix before the solve: solving with
@@ -299,6 +288,46 @@ class TestRankDeficient:
         res = solve_l1(np.ones((4, 8)), None, np.arange(4.0))
         assert not res.converged
         assert res.iterations <= 25
+
+
+class TestDeterminedSystems:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), extra=st.integers(0, 8),
+           consistent=st.booleans(), relaxed=st.booleans())
+    def test_m_at_least_n_gives_the_least_squares_point(self, seed, n, extra, consistent, relaxed):
+        # the projection onto the constraints is the least-squares point, so
+        # ADMM's first candidate is the answer of an equality solve
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        a = rng.normal(size=(m, n)) + 3.0 * np.eye(m, n)
+        y = a @ rng.normal(size=n)
+        consistent = consistent or m == n
+        if not consistent:
+            # add a component outside the range, as large as y itself
+            r = rng.normal(size=m)
+            r -= a @ np.linalg.lstsq(a, r, rcond=None)[0]
+            y += r * np.linalg.norm(y) / np.linalg.norm(r)
+        eps = 0.01 if relaxed else 0.0
+        cfg = SolveConfig(relaxed_epsilon=eps)
+        res = solve_l1(a, None, y, cfg)
+        lsq = np.linalg.lstsq(a, y, rcond=None)[0]
+        resid = np.linalg.norm(a @ res.theta_hat - y)
+        assert abs(resid - res.residual_l2) <= 1e-12 * np.linalg.norm(y)
+        if consistent:
+            assert res.converged
+            if relaxed:
+                # the ball around y holds points of lower l1 than lstsq's
+                assert resid <= eps * np.linalg.norm(y)
+                assert res.l1_objective <= np.abs(lsq).sum() + 1e-12
+            else:
+                assert res.iterations == 2 * solvers._CHECK_EVERY
+                np.testing.assert_allclose(res.theta_hat, lsq, rtol=0,
+                                           atol=1e-10 * max(1.0, np.abs(lsq).max()))
+        else:
+            assert not res.converged
+            assert res.iterations == solvers._CHECK_EVERY
+            np.testing.assert_allclose(a.T @ (a @ res.theta_hat - y), 0.0, atol=1e-10 * np.linalg.norm(y))
+            assert res.residual_l2 == pytest.approx(np.linalg.norm(a @ lsq - y), rel=1e-10)
 
 
 class TestSolveL1:
@@ -405,7 +434,7 @@ class TestSolveL1:
         basis = tr.dct1d_basis(8)
         theta = rng.normal(size=8)
         res = solve_l1(a, basis, a @ tr.synthesize(basis, theta))
-        assert res.converged and res.iterations == 0
+        assert res.converged
         np.testing.assert_allclose(res.theta_hat, theta, atol=1e-10)
 
     def test_deterministic(self):
