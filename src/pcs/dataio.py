@@ -51,15 +51,12 @@ class CubeHeader:
     cols: int
     bands: int
     sample_format: str = "f64le"
-    interleave: str = "bsq"
 
     def __post_init__(self):
         if min(self.rows, self.cols, self.bands) < 1:
             raise ValueError("all cube dimensions must be >= 1")
         if self.sample_format not in SAMPLE_FORMATS:
             raise ValueError(f"unsupported sample format {self.sample_format!r}")
-        if self.interleave != "bsq":
-            raise ValueError("only BSQ interleave is supported")
 
     @property
     def payload_bytes(self) -> int:

@@ -267,8 +267,7 @@ def init_kcs(
     solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
     provider = provider or _PhiProvider(ens, slice_basis)
     provider.require(slice_basis)
-    cross_only = SparsityBasis(basis.kind, basis.dims,
-                               (transforms.IDENTITY,) * len(slice_basis.dims) + (cross,))
+    cross_only = transforms.join_slice_axis(transforms.identity_basis(ens.n), ens.num_slices, cross)
     b = provider.stack(0, ens.num_slices)
     state = solvers.solve_l1_batch(b, cross_only, ms.y.reshape(1, -1), solver_cfg)
     slices = transforms.synthesize(basis, state.theta).reshape(ens.num_slices, ens.n)

@@ -7,10 +7,9 @@ import numpy as np
 
 @dataclass
 class Image2D:
-    """A 2D grayscale image: samples[row, col], nominally in value_range."""
+    """A 2D grayscale image: samples[row, col], nominally in [0, 1]."""
 
     samples: np.ndarray
-    value_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -32,10 +31,9 @@ class Image2D:
 
 @dataclass
 class Cube3D:
-    """A 3D data cube: samples[row, col, band], nominally in value_range."""
+    """A 3D data cube: samples[row, col, band], nominally in [0, 1]."""
 
     samples: np.ndarray
-    value_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -57,11 +55,3 @@ class Cube3D:
     @property
     def n_bands(self) -> int:
         return self.samples.shape[2]
-
-    def band(self, i: int) -> np.ndarray:
-        """Spatial frame of band i, shape (n_rows, n_cols)."""
-        return self.samples[:, :, i]
-
-    def spectral_row(self, i: int) -> np.ndarray:
-        """Spectral-row slice at spatial row i, shape (n_cols, n_bands)."""
-        return self.samples[i, :, :]

@@ -14,13 +14,14 @@ joint basis with identity per-slice factors to the Kronecker initialization.
 
 Each slice's rows are factored once per call (an eigendecomposition of the
 m x m Gram matrix, rank-revealing), and the iterations apply the orthonormal
-factor through BatchedOperator.  For m >= n of full rank the projection is
-the least-squares point, so it is ADMM's first candidate: a consistent
-system converges once its l1 has plateaued, an inconsistent one leaves at
-its first check with that point, not converged.  Problems in a batch are
-solved independently: each leaves the batch at its own stop, with a result
-that does not depend on the batch.  solve_l1 and solve_omp take a dense
-matrix.
+factor through BatchedOperator.  Every candidate is projected onto the
+constraints, and the result is the candidate of lowest l1.  For m >= n of
+full rank the projection is the least-squares point, so it is ADMM's first
+candidate and an equality solve stops at its first check with it: converged
+when the system is consistent, not converged when it is not.  Problems in a
+batch are solved independently: each leaves the batch at its own stop, with
+a result that does not depend on the batch.  solve_l1 and solve_omp take a
+dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -197,56 +198,6 @@ class BatchSolveState:
     traces: list
 
 
-def _start(op, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, BatchSolveState]:
-    """(y, ||y|| per problem, the state the iterations fill in).
-
-    The state starts as the answer for zero measurements (theta = 0 is
-    feasible with minimal l1) and as "no feasible iterate yet" elsewhere.
-    """
-    y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
-    ynorm = np.linalg.norm(y, axis=1)
-    state = BatchSolveState(
-        theta=np.zeros((op.batch, op.n)),
-        residual=ynorm.copy(),
-        objective=np.where(ynorm == 0, 0.0, np.inf),
-        iterations=np.zeros(op.batch, dtype=np.int64),
-        converged=ynorm == 0,
-        traces=[[] for _ in range(op.batch)],
-    )
-    return y, ynorm, state
-
-
-def _record_check(state, k, work, cand, res, yscale, bound, prev_obj, cfg, keep_trace, final):
-    """One residual check of the active problems work; returns (done, l1).
-
-    cand is each problem's candidate on the normalized problem and res its
-    residual at the caller's scale.  A feasible candidate with a lower l1
-    than the problem's best replaces it; done marks the problems that are
-    feasible and whose l1 changed by at most objective_tol since the last
-    check.  final (a flag, or a mask over work) marks the problems checked
-    for the last time: one never feasible keeps its candidate.
-    """
-    obj = np.abs(cand).sum(axis=1) * yscale
-    state.iterations[work] = k
-    if keep_trace:
-        for local, g in enumerate(work):
-            state.traces[g].append((k, float(obj[local]), float(res[local])))
-    feas = res <= bound[work]
-    improve = feas & (obj < state.objective[work])
-    gidx = work[improve]
-    state.theta[gidx] = cand[improve] * yscale[improve, None]
-    state.objective[gidx] = obj[improve]
-    state.residual[gidx] = res[improve]
-    rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
-    done = feas & np.isfinite(prev_obj) & (rel_dec <= cfg.objective_tol)
-    miss = final & ~np.isfinite(state.objective[work])
-    gmiss = work[miss]
-    state.theta[gmiss] = cand[miss] * yscale[miss, None]
-    state.objective[gmiss] = obj[miss]
-    state.residual[gmiss] = res[miss]
-    return done, obj
-
-
 def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     """Orthonormal rows of the row space of every slice of the problems in work.
 
@@ -308,20 +259,26 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     At each check the candidate moves z along the projection's correction
     -Q(Q^T z - yq), all the way for an equality (P(z)) and until the
     residual reaches the ball when relaxed, so every candidate is feasible to
-    rounding; a problem is done, and converged, when its l1 has plateaued.
-    A problem whose measurements lie farther from the range of its matrix
-    than the bound (gap) can never be feasible: it leaves at its first check
-    with its least-squares candidate, not converged.  When m >= n and B has
-    full rank, P(v) is the least-squares point for every v, so an equality
-    solve's first check already holds the answer and its second finds the l1
-    plateaued.  A problem that leaves the working set has its Q^T rows
-    overwritten by compaction in place, so every row operation is per problem
-    and a result is bit-identical alone or in any batch.  The reported
-    residual is recomputed on the caller's stack.
+    rounding and the result is the candidate of lowest l1 (best); a problem
+    is done, and converged, when its l1 has plateaued.  Whether a problem
+    can be feasible at all is fixed by the factorization: one whose
+    measurements lie farther from the range of its matrix than the bound
+    (gap) leaves at its first check with its least-squares candidate, not
+    converged.  When m >= n and B has full rank, P(v) is the least-squares
+    point for every v, so an equality solve is done at its first check.  A
+    problem that leaves the working set has its Q^T rows overwritten by
+    compaction in place, so every row operation is per problem and a result
+    is bit-identical alone or in any batch.  The reported residual is
+    recomputed on the caller's stack.
     """
-    y, ynorm, state = _start(op, y)
+    y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
+    ynorm = np.linalg.norm(y, axis=1)
     bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * ynorm
-    stopped = np.zeros(op.batch, dtype=bool)
+    # theta = 0 answers zero measurements: feasible with minimal l1
+    theta = np.zeros((op.batch, op.n))
+    iterations = np.zeros(op.batch, dtype=np.int64)
+    stopped = ynorm == 0
+    traces = [[] for _ in range(op.batch)]
     work = np.flatnonzero(ynorm > 0)
     if work.size:
         # the iteration is not scale-equivariant (the soft-threshold has a
@@ -335,12 +292,15 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         u = np.zeros((work.size, op.n))
         w = np.zeros_like(yq)
         v = np.zeros_like(yq)
+        best = np.full(work.size, np.inf)
         prev_obj = np.full(work.size, np.inf)
         proj = BatchedOperator(qt, op.cross)
 
         # gap is fixed by the factorization: whether a problem can ever be
         # feasible is known now, and one that cannot leaves at its first check
         infeasible = gap * yscale > bound[work]
+        # a full-rank equality system has one feasible point, its first candidate
+        determined = ((sv > 0).sum(axis=1) == op.n) & (not relaxed)
         k = 0
         while k < cfg.max_solver_iters:
             k += 1
@@ -365,17 +325,27 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                 inside = np.minimum(off, radius)
                 step = np.where(off > 0, 1.0 - inside / np.where(off > 0, off, 1.0), 0.0)
                 cand = z - step[:, None] * proj.adjoint(dz)
-                done, prev_obj = _record_check(state, k, work, cand, np.hypot(inside, gap) * yscale,
-                                               yscale, bound, prev_obj, cfg, keep_trace,
-                                               last | infeasible)
+                obj = np.abs(cand).sum(axis=1) * yscale
+                iterations[work] = k
+                if keep_trace:
+                    res = np.hypot(inside, gap) * yscale
+                    for local, g in enumerate(work):
+                        traces[g].append((k, float(obj[local]), float(res[local])))
+                # an infeasible problem's one candidate is taken as well
+                better = obj < best
+                theta[work[better]] = cand[better] * yscale[better, None]
+                best = np.where(better, obj, best)
+                rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
+                done = ~infeasible & (determined | (rel_dec <= cfg.objective_tol))
+                prev_obj = obj
                 stopped[work[done]] = True
                 kidx = np.flatnonzero(~(done | infeasible))
                 if last or kidx.size == 0:
                     break
                 if kidx.size < work.size:
-                    work, yscale, infeasible, prev_obj, z, u, w, v, sv, yq, gap, radius = (
-                        arr[kidx] for arr in (work, yscale, infeasible, prev_obj, z, u, w, v, sv,
-                                              yq, gap, radius))
+                    work, yscale, infeasible, determined, best, prev_obj, z, u, w, v, sv, yq, gap, radius = (
+                        arr[kidx] for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u,
+                                              w, v, sv, yq, gap, radius))
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved
                     for j, s in enumerate(kidx):
@@ -383,10 +353,9 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                             qt[j] = qt[s]
                     proj = BatchedOperator(qt[:kidx.size], op.cross)
 
-    state.residual = np.linalg.norm(op.forward(state.theta) - y, axis=1)
-    state.objective = np.abs(state.theta).sum(axis=1)
-    state.converged |= stopped & (state.residual <= bound)
-    return state
+    residual = np.linalg.norm(op.forward(theta) - y, axis=1)
+    return BatchSolveState(theta=theta, residual=residual, objective=np.abs(theta).sum(axis=1),
+                           iterations=iterations, converged=stopped & (residual <= bound), traces=traces)
 
 
 def _dense_matrix(a) -> np.ndarray:

@@ -16,30 +16,24 @@ and preserves the l2 norm.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct
 
 IDENTITY = "identity"
 DCT = "dct"
-
-_KINDS = ("Identity", "DCT1D", "Separable2D", "Separable3D")
 
 
 @dataclass(frozen=True)
 class SparsityBasis:
     """Orthonormal synthesis operator over a flat, column-major stacked vector.
 
-    kind:    one of Identity, DCT1D, Separable2D, Separable3D
     dims:    axis lengths, fastest-varying axis first
     factors: per-axis 1D factor ("dct" or "identity"), same length as dims
     """
 
-    kind: str
     dims: tuple[int, ...]
     factors: tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
         if len(self.dims) != len(self.factors):
             raise ValueError("dims and factors must have the same length")
         if any(d < 1 for d in self.dims):
@@ -54,27 +48,19 @@ class SparsityBasis:
 
 
 def identity_basis(n: int) -> SparsityBasis:
-    return SparsityBasis("Identity", (n,), (IDENTITY,))
+    return SparsityBasis((n,), (IDENTITY,))
 
 
 def dct1d_basis(n: int) -> SparsityBasis:
-    return SparsityBasis("DCT1D", (n,), (DCT,))
+    return SparsityBasis((n,), (DCT,))
 
 
 def separable2d_basis(d0: int, d1: int, factors=(DCT, DCT)) -> SparsityBasis:
-    return SparsityBasis("Separable2D", (d0, d1), tuple(factors))
+    return SparsityBasis((d0, d1), tuple(factors))
 
 
 def separable3d_basis(d0: int, d1: int, d2: int, factors=(DCT, DCT, DCT)) -> SparsityBasis:
-    return SparsityBasis("Separable3D", (d0, d1, d2), tuple(factors))
-
-
-def _kind_for(factors: tuple[str, ...]) -> str:
-    if len(factors) == 1:
-        return "DCT1D" if factors[0] == DCT else "Identity"
-    if len(factors) >= len(_KINDS):
-        raise ValueError(f"no separable basis over {len(factors)} axes")
-    return _KINDS[len(factors)]
+    return SparsityBasis((d0, d1, d2), tuple(factors))
 
 
 def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, str]:
@@ -87,14 +73,12 @@ def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, 
     if len(basis.dims) < 2 or basis.dims[-1] != slices:
         raise ValueError(f"a joint basis needs the slice axis last: dims {basis.dims} "
                          f"do not end with {slices} slices")
-    dims, factors = basis.dims[:-1], basis.factors[:-1]
-    return SparsityBasis(_kind_for(factors), dims, factors), basis.factors[-1]
+    return SparsityBasis(basis.dims[:-1], basis.factors[:-1]), basis.factors[-1]
 
 
 def join_slice_axis(slice_basis: SparsityBasis, slices: int, cross: str) -> SparsityBasis:
     """The joint basis over slices stacked slices; inverse of split_slice_axis."""
-    factors = slice_basis.factors + (cross,)
-    return SparsityBasis(_kind_for(factors), slice_basis.dims + (slices,), factors)
+    return SparsityBasis(slice_basis.dims + (slices,), slice_basis.factors + (cross,))
 
 
 def _check_length(basis: SparsityBasis, v: np.ndarray) -> None:
