@@ -197,16 +197,6 @@ def acquire_spectral_rows_3d(cube: Cube3D, ensemble: SeededSensingEnsemble) -> M
     return _acquire(cube.samples, ensemble, Layout.SPECTRAL_ROWS_3D)
 
 
-def add_measurement_noise(ms: MeasurementSet, sigma: float, noise_seed: int = 0) -> MeasurementSet:
-    """Additive-Gaussian hook for testing the relaxed (noisy) recovery mode."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return ms
-    noise = philox_normals(noise_seed % (1 << 64), 0xA0D17E, ms.y.size).reshape(ms.y.shape) * sigma
-    return MeasurementSet(ms.y + noise, ms.ensemble, ms.layout, ms.signal_shape)
-
-
 # --- block-diagonal operator (Kronecker CS) ---------------------------------
 
 def block_diag_apply(ensemble: SeededSensingEnsemble, v: np.ndarray) -> np.ndarray:

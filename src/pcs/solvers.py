@@ -1,8 +1,8 @@
 """Sparse-recovery engines.
 
-solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y (or, with
-relaxed_epsilon > 0, ||A*Psi*theta - y||_2 <= epsilon*||y||_2).  Every l1
-solve runs one algorithm, ADMM on the exact projection onto its constraints
+solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y: basis pursuit
+(Chen, Donoho and Saunders 1998) on noiseless measurements.  Every l1 solve
+runs one algorithm, ADMM on the exact projection onto its constraints
 (_admm_batch), over one operator, BatchedOperator: a stack of per-slice
 matrices that poses either independent per-slice problems or one joint
 Kronecker problem.  A basis given to solve_l1 or solve_l1_batch is composed
@@ -12,16 +12,17 @@ cross-slice factor stays inside the operator.  The reconstruction composes
 its stack itself as it draws it, and passes basis None to the sweeps and a
 joint basis with identity per-slice factors to the Kronecker initialization.
 
-Each slice's rows are factored once per call (an eigendecomposition of the
-m x m Gram matrix, rank-revealing), and the iterations apply the orthonormal
-factor through BatchedOperator.  Every candidate is projected onto the
-constraints, and the result is the candidate of lowest l1.  For m >= n of
-full rank the projection is the least-squares point, so it is ADMM's first
-candidate and an equality solve stops at its first check with it: converged
-when the system is consistent, not converged when it is not.  Problems in a
-batch are solved independently: each leaves the batch at its own stop, with
-a result that does not depend on the batch.  solve_l1 and solve_omp take a
-dense matrix.
+Each slice's rows are factored once per call: an eigendecomposition of the
+m x m Gram matrix, whose eigenvalues at or below its rounding level,
+max(m, n)*eps of the largest, are null directions.  The iterations apply the
+orthonormal factor through BatchedOperator.  Every candidate is projected
+onto the constraints, and the result is the candidate of lowest l1.  For
+m >= n of full rank the projection is the least-squares point, so it is
+ADMM's first candidate and the solve stops at its first check with it:
+converged when the system is consistent, not converged when it is not.
+Problems in a batch are solved independently: each leaves the batch at its
+own stop, with a result that does not depend on the batch.  solve_l1 and
+solve_omp take a dense matrix.
 
 solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
 oracle for tiny instances; both exist so the convex solver can be checked
@@ -39,11 +40,6 @@ from .transforms import SparsityBasis
 _CHECK_EVERY = 25
 # ADMM penalty rho = _ADMM_RHO*sqrt(n) on the normalized problem
 _ADMM_RHO = 8.0
-# Gram eigenvalues below this fraction of the largest are null directions
-_RANK_RTOL = 1e-10
-# a relaxed solve aims its candidates this fraction inside the epsilon-ball,
-# so that rounding keeps the residual recomputed on the caller's stack on it
-_BALL_MARGIN = 1e-9
 # a cross-slice DCT over at most this many slices is one dense S x S product;
 # above it the transform is cheaper (it overtook the product at 180 to 250
 # slices, for slice lengths 64 to 576, on a 2-vCPU x86 machine)
@@ -54,12 +50,11 @@ _DENSE_CROSS_MAX = 128
 class SolveConfig:
     """Tolerances for the l1 solver.
 
-    feasibility_tol and relaxed_epsilon are relative to ||y||_2; the bound is
-    ||A*Psi*theta - y|| <= max(feasibility_tol, relaxed_epsilon)*||y||.
-    objective_tol is the relative l1 decrease between residual checks below
-    which a feasible solve stops; in a batch each problem stops at its own
-    check, and iterations counts that problem's iterations only.
-    relaxed_epsilon = 0 selects the equality-constrained mode.
+    feasibility_tol is relative to ||y||_2; the bound is
+    ||A*Psi*theta - y|| <= feasibility_tol*||y||.  objective_tol is the
+    relative l1 decrease between residual checks below which a feasible
+    solve stops; in a batch each problem stops at its own check, and
+    iterations counts that problem's iterations only.
 
     converged means that the problem met its stop test (feasible and l1
     plateau) by max_solver_iters and the returned theta meets the bound:
@@ -70,13 +65,10 @@ class SolveConfig:
     feasibility_tol: float = 1e-6
     objective_tol: float = 1e-8
     max_solver_iters: int = 5000
-    relaxed_epsilon: float = 0.0
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.objective_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.relaxed_epsilon < 0:
-            raise ValueError("relaxed_epsilon must be >= 0")
         if self.max_solver_iters < 1:
             raise ValueError("max_solver_iters must be >= 1")
 
@@ -203,7 +195,8 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
 
     yhat holds the normalized measurements of those problems, aligned with
     work.  With B_s B_s^T = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T B_s
-    of the directions with w above the rank cut are orthonormal, and
+    of the directions with w above the rank cut, max(m, n)*eps*max(w) (the
+    rounding level of the Gram matrix itself), are orthonormal, and
     P(v) = v - Q(Q^T v - yq), yq = diag(w)^-1/2 V^T yhat_s, projects onto the
     least-squares solutions of B_s theta = yhat_s.  Null directions get zero
     rows.  gap is the distance of yhat_s from the range: 0 (to rounding) when
@@ -213,29 +206,30 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     A joint problem factors every slice.  Its cross-slice factor is
     orthonormal, so BatchedOperator(Q^T, op.cross) turns P into the exact
     projection onto the joint constraints, Psi_cross^T P Psi_cross, and its
-    gap is the l2 norm of the slices' gaps.  Returns (Q^T, sv, yq, gap): the
-    stack, and per problem in work the singular values sqrt(w) (0 for null
-    directions), yq and gap.
+    gap is the l2 norm of the slices' gaps, its rank the sum of theirs.
+    Returns (Q^T, rank, yq, gap): the stack, and per problem in work the
+    number of directions kept, yq and gap.
     """
     slices = np.arange(op.phi.shape[0]) if op.joint else work
     yhat = yhat.reshape(slices.size, -1)
     qt = np.zeros((slices.size,) + op.phi.shape[1:])
-    sv = np.zeros(yhat.shape)
     yq = np.zeros(yhat.shape)
+    rank = np.empty(slices.size, dtype=np.int64)
     gap = np.empty(slices.size)
+    cut = max(op.phi.shape[1:]) * np.finfo(np.float64).eps
     for j, s in enumerate(slices):
         w, v = np.linalg.eigh(op.phi[s] @ op.phi[s].T)
-        keep = w > w[-1] * _RANK_RTOL
+        keep = w > w[-1] * cut
         v = v[:, keep]
         coef = v.T @ yhat[j]
         gap[j] = np.linalg.norm(yhat[j] - v @ coef)
         scale = w[keep] ** -0.5
-        sv[j, :scale.size] = np.sqrt(w[keep])
+        rank[j] = scale.size
         yq[j, :scale.size] = coef * scale
         qt[j, :scale.size] = (v * scale).T @ op.phi[s]
     if op.joint:
-        return qt, sv.reshape(1, -1), yq.reshape(1, -1), np.linalg.norm(gap, keepdims=True)
-    return qt, sv, yq, gap
+        return qt, rank.sum(keepdims=True), yq.reshape(1, -1), np.linalg.norm(gap, keepdims=True)
+    return qt, rank, yq, gap
 
 
 def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
@@ -244,36 +238,25 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     Each slice's rows are factored once (_row_space) into an orthonormal
     stack Q^T that this function owns, applied through a BatchedOperator over
     Q^T with op.cross, so the iterations need no power iteration and no step
-    sizes.  With a = z - u, each iteration is
-        x = a - Q(Q^T a - q),  z = soft(x + u, 1/rho),  u += x - z.
-    Equality-constrained, q = yq and x is the projection P(a).  Relaxed to
-    ||B theta - y|| <= epsilon ||y||, it splits off the residual in the
-    whitened coordinates of the factors: B = V G Q^T with G = diag(sv), and
-    r = G Q^T theta - G yq is the residual within the range (the part of y
-    outside it adds gap^2 to every squared residual).  The x-step solves
-    (I + B^T B) x = a + B^T(y + w - v), whose solution has
-    Q^T x = q = (Q^T a + G(G yq + w - v)) / (1 + sv^2); then w is r + v
-    projected onto the ball of radius sqrt(epsilon^2 - gap^2) and v, its
-    scaled dual, takes what the ball cut off.
+    sizes.  With P(v) = v - Q(Q^T v - yq) the projection onto the
+    constraints, each iteration is
+        x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z.
 
-    At each check the candidate moves z along the projection's correction
-    -Q(Q^T z - yq), all the way for an equality (P(z)) and until the
-    residual reaches the ball when relaxed, so every candidate is feasible to
-    rounding and the result is the candidate of lowest l1 (best); a problem
-    is done, and converged, when its l1 has plateaued.  Whether a problem
-    can be feasible at all is fixed by the factorization: one whose
-    measurements lie farther from the range of its matrix than the bound
-    (gap) leaves at its first check with its least-squares candidate, not
-    converged.  When m >= n and B has full rank, P(v) is the least-squares
-    point for every v, so an equality solve is done at its first check.  A
-    problem that leaves the working set has its Q^T rows overwritten by
-    compaction in place, so every row operation is per problem and a result
-    is bit-identical alone or in any batch.  The reported residual is
-    recomputed on the caller's stack.
+    At each check the candidate is P(z), feasible to rounding, and the
+    result is the candidate of lowest l1 (best); a problem is done, and
+    converged, when its l1 has plateaued.  Whether a problem can be feasible
+    at all is fixed by the factorization: one whose measurements lie farther
+    from the range of its matrix than the bound (gap) leaves at its first
+    check with its least-squares candidate, not converged.  When B has rank
+    n (so m >= n), P(v) is the least-squares point for every v, so the solve
+    is done at its first check.  A problem that leaves the working set has
+    its Q^T rows overwritten by compaction in place, so every row operation
+    is per problem and a result is bit-identical alone or in any batch.  The
+    reported residual is recomputed on the caller's stack.
     """
     y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
     ynorm = np.linalg.norm(y, axis=1)
-    bound = max(cfg.feasibility_tol, cfg.relaxed_epsilon) * ynorm
+    bound = cfg.feasibility_tol * ynorm
     # theta = 0 answers zero measurements: feasible with minimal l1
     theta = np.zeros((op.batch, op.n))
     iterations = np.zeros(op.batch, dtype=np.int64)
@@ -284,14 +267,10 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         # the iteration is not scale-equivariant (the soft-threshold has a
         # fixed size), so it runs on y/||y||
         yscale = ynorm[work]
-        qt, sv, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
-        relaxed = cfg.relaxed_epsilon > 0
-        radius = np.sqrt(np.maximum(cfg.relaxed_epsilon ** 2 - gap ** 2, 0.0)) * (1.0 - _BALL_MARGIN)
+        qt, rank, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
         thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
         z = np.zeros((work.size, op.n))
         u = np.zeros((work.size, op.n))
-        w = np.zeros_like(yq)
-        v = np.zeros_like(yq)
         best = np.full(work.size, np.inf)
         prev_obj = np.full(work.size, np.inf)
         proj = BatchedOperator(qt, op.cross)
@@ -299,36 +278,22 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
         # gap is fixed by the factorization: whether a problem can ever be
         # feasible is known now, and one that cannot leaves at its first check
         infeasible = gap * yscale > bound[work]
-        # a full-rank equality system has one feasible point, its first candidate
-        determined = ((sv > 0).sum(axis=1) == op.n) & (not relaxed)
+        # a full-rank system has one feasible point, its first candidate
+        determined = rank == op.n
         k = 0
         while k < cfg.max_solver_iters:
             k += 1
             a = z - u
-            qa = proj.forward(a)
-            q = yq
-            if relaxed:
-                q = (qa + sv * (sv * yq + w - v)) / (1.0 + sv * sv)
-                r = sv * (q - yq) + v
-                rn = np.linalg.norm(r, axis=1)
-                w = r * np.minimum(1.0, radius / np.maximum(rn, 1e-300))[:, None]
-                v = r - w
-            x = a - proj.adjoint(qa - q)
+            x = a - proj.adjoint(proj.forward(a) - yq)
             z = _soft_threshold(x + u, thresh)
             u += x - z
             last = k == cfg.max_solver_iters
             if k % _CHECK_EVERY == 0 or last:
-                dz = proj.forward(z) - yq
-                # the fraction of the correction that brings the candidate's
-                # residual within the range down to the ball (1 for equality)
-                off = np.linalg.norm(sv * dz, axis=1)
-                inside = np.minimum(off, radius)
-                step = np.where(off > 0, 1.0 - inside / np.where(off > 0, off, 1.0), 0.0)
-                cand = z - step[:, None] * proj.adjoint(dz)
+                cand = z - proj.adjoint(proj.forward(z) - yq)
                 obj = np.abs(cand).sum(axis=1) * yscale
                 iterations[work] = k
                 if keep_trace:
-                    res = np.hypot(inside, gap) * yscale
+                    res = gap * yscale
                     for local, g in enumerate(work):
                         traces[g].append((k, float(obj[local]), float(res[local])))
                 # an infeasible problem's one candidate is taken as well
@@ -343,9 +308,9 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                 if last or kidx.size == 0:
                     break
                 if kidx.size < work.size:
-                    work, yscale, infeasible, determined, best, prev_obj, z, u, w, v, sv, yq, gap, radius = (
+                    work, yscale, infeasible, determined, best, prev_obj, z, u, yq, gap = (
                         arr[kidx] for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u,
-                                              w, v, sv, yq, gap, radius))
+                                              yq, gap))
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved
                     for j, s in enumerate(kidx):

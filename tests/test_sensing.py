@@ -16,7 +16,6 @@ from pcs.sensing import (
     acquire_bands_3d,
     acquire_rows_2d,
     acquire_spectral_rows_3d,
-    add_measurement_noise,
     block_diag_adjoint,
     block_diag_apply,
     draw_sensing_matrix,
@@ -364,15 +363,3 @@ def test_measurement_shape_checked():
     ens = SeededSensingEnsemble(0, 4, 3, 8)
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros((4, 2)), ens, Layout.ROWS_2D, (4, 8))
-
-
-def test_noise_hook():
-    ens = SeededSensingEnsemble(0, 4, 3, 8)
-    ms = acquire_rows_2d(Image2D(np.random.default_rng(5).random((4, 8))), ens)
-    assert add_measurement_noise(ms, 0.0) is ms
-    n1 = add_measurement_noise(ms, 0.01, noise_seed=9)
-    n2 = add_measurement_noise(ms, 0.01, noise_seed=9)
-    assert np.array_equal(n1.y, n2.y)
-    assert not np.array_equal(n1.y, ms.y)
-    with pytest.raises(ValueError):
-        add_measurement_noise(ms, -1.0)
