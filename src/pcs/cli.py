@@ -369,10 +369,7 @@ def _run_omp_cell(cell: dict) -> dict:
     phi = sensing.draw_sensing_matrix(ens, 0)
     flat = truth.ravel(order="F")
     y = phi @ flat
-    if scenario == "2d":
-        basis = transforms.separable2d_basis(*dims)
-    else:
-        basis = transforms.separable3d_basis(*dims)
+    basis = transforms.SparsityBasis(dims, (transforms.DCT,) * len(dims))
     budget = max(1, int(cell["omp_budget_fraction"] * m_total))
     result = solvers.solve_omp(phi, basis, y, sparsity_budget=budget, residual_tol=1e-6)
     rec = transforms.synthesize(basis, result.theta_hat)

@@ -148,8 +148,8 @@ def save_cube(cube: Cube3D, path, sample_format: str = "f64le") -> None:
         fh.write(payload)
 
 
-def load_cube(path, expected_header: CubeHeader | None = None) -> Cube3D:
-    """Load a PCS3 cube file; optionally validate against an expected header."""
+def load_cube(path) -> Cube3D:
+    """Load a PCS3 cube file."""
     with open(path, "rb") as fh:
         raw = fh.read(_CUBE_HEADER.size)
         if len(raw) != _CUBE_HEADER.size:
@@ -162,8 +162,6 @@ def load_cube(path, expected_header: CubeHeader | None = None) -> Cube3D:
         if fmt not in _FORMAT_NAMES:
             raise ValueError(f"{path}: unknown sample format {fmt}")
         header = CubeHeader(rows, cols, bands, _FORMAT_NAMES[fmt])
-        if expected_header is not None and header != expected_header:
-            raise ValueError(f"{path}: header {header} does not match expected {expected_header}")
         payload = fh.read()
     if len(payload) != header.payload_bytes:
         raise ValueError(

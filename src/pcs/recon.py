@@ -7,23 +7,25 @@ slice's own sensing matrix, recovers only the measurement-domain prediction
 error by l1 minimization, and adds the recovered error back onto the
 prediction.  Iterations stop when the relative l2 change of the signal falls
 below convergence_tol or max_outer_iters is reached.  The layout decides the
-rest (_LOOPS): image rows are predicted by a row filter and the sweeps leave
-the first and last row to the initialization; bands are predicted blockwise
-by least squares and spectral rows by a row filter, and the sweeps solve
+rest (_LOOPS): image rows and spectral rows are predicted by one row filter
+across slices (predict_slice_rows), bands blockwise by least squares; the
+sweeps leave an image's first and last row to the initialization and solve
 every slice of a cube.
 
-Two initialization strategies are provided: separate per-slice recovery, and
-joint Kronecker recovery (block-diagonal sensing operator with a separable
-sparsity basis spanning all slices).  Both, and every outer iteration, solve
-on the same stack of composed matrices B_s = Phi_s*Psi_slice, drawn and
-composed once per reconstruction, with the same algorithm (ADMM on the exact
-projection onto the constraints, see solvers).  The residual sweeps (the
-separate initialization and every outer iteration) solve on B alone; the
-Kronecker initialization solves on B with only the cross-slice factor of the
-joint basis inside the operator, since blockdiag(Phi_s)*(Psi_cross (x)
-Psi_slice) = blockdiag(B_s)*(Psi_cross (x) I).  That factor is orthonormal,
-so the joint projection is the per-slice one between a cross-slice analysis
-and synthesis, and the joint solve converges like a sweep.
+Two initialization strategies are provided, with one contract: both take the
+slice basis and return the signal and the unconverged slices.  Separate
+recovery solves each slice alone; joint Kronecker recovery solves all slices
+at once, in the slice basis joined with a DCT across slices.  Both, and every
+outer iteration, solve on the same stack of composed matrices
+B_s = Phi_s*Psi_slice, drawn and composed once per reconstruction, with the
+same algorithm (ADMM on the exact projection onto the constraints, see
+solvers).  The residual sweeps (the separate initialization and every outer
+iteration) solve on B alone; the Kronecker initialization solves on B with
+only the cross-slice factor of the joint basis inside the operator, since
+blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(B_s)*(Psi_cross (x) I).
+That factor is orthonormal, so the joint projection is the per-slice one
+between a cross-slice analysis and synthesis, and the joint solve converges
+like a sweep.
 """
 
 import time
@@ -146,27 +148,9 @@ def _compose_in_place(basis: SparsityBasis, phi: np.ndarray) -> np.ndarray:
 # --- slice bases -----------------------------------------------------------------
 
 def slice_basis_for(ms: MeasurementSet, kind: str = transforms.DCT) -> SparsityBasis:
-    """Default per-slice sparsity basis for a measurement layout."""
-    if ms.layout == Layout.ROWS_2D:
-        n = ms.signal_shape[1]
-        return transforms.dct1d_basis(n) if kind == transforms.DCT else transforms.identity_basis(n)
-    rows, cols, bands = ms.signal_shape
-    if ms.layout == Layout.BANDS_3D:
-        return transforms.separable2d_basis(rows, cols, factors=(kind, kind))
-    return transforms.separable2d_basis(cols, bands, factors=(kind, kind))
-
-
-def kcs_basis_for(ms: MeasurementSet, slice_basis: SparsityBasis) -> SparsityBasis:
-    """Joint separable basis over all stacked slices.
-
-    The per-slice basis gives the leading axes, dims and factors as they
-    are; the cross-slice axis, last, always gets a DCT factor, which is where
-    the joint recovery gains its inter-slice correlation modelling.
-    """
-    if slice_basis.size != ms.ensemble.n:
-        raise ValueError(f"slice basis size {slice_basis.size} does not match "
-                         f"slice length {ms.ensemble.n}")
-    return transforms.join_slice_axis(slice_basis, ms.ensemble.num_slices, transforms.DCT)
+    """Default per-slice sparsity basis: a kind factor on every axis of a slice."""
+    dims = sensing.slice_dims(ms.layout, ms.signal_shape)
+    return SparsityBasis(dims, (kind,) * len(dims))
 
 
 def _container(signal: np.ndarray, layout: Layout):
@@ -216,6 +200,14 @@ def _residual_sweep(
 
 # --- initialization strategies ----------------------------------------------------
 
+def _prepare(ms, basis, solver_cfg, provider):
+    """The two initializations' defaults: slice basis, solver profile, provider."""
+    basis = basis or slice_basis_for(ms)
+    provider = provider or _PhiProvider(ms.ensemble, basis)
+    provider.require(basis)
+    return solver_cfg or DEFAULT_SWEEP_SOLVER, provider
+
+
 def init_separate(
     ms: MeasurementSet,
     basis: SparsityBasis | None = None,
@@ -224,17 +216,13 @@ def init_separate(
 ):
     """Recover every slice independently by l1 minimization.
 
-    provider hands out the sensing matrices composed with basis (a
-    reconstruction passes its own; one is built when None).  Returns (signal
-    container, list of slice indices that failed to converge; those keep
-    their best iterates).
+    basis is the slice basis (slice_basis_for(ms) when None); provider hands
+    out the sensing matrices composed with it (a reconstruction passes its
+    own; one is built when None).  Returns (signal container, list of slice
+    indices that failed to converge; those keep their best iterates).
     """
-    basis = basis or slice_basis_for(ms)
-    solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
-    provider = provider or _PhiProvider(ms.ensemble, basis)
-    provider.require(basis)
-    zero = np.zeros(ms.signal_shape)
-    signal, warnings = _residual_sweep(ms, solver_cfg, zero, provider)
+    solver_cfg, provider = _prepare(ms, basis, solver_cfg, provider)
+    signal, warnings = _residual_sweep(ms, solver_cfg, np.zeros(ms.signal_shape), provider)
     return _container(signal, ms.layout), warnings
 
 
@@ -246,52 +234,52 @@ def init_kcs(
 ):
     """Joint recovery of all slices through the block-diagonal sensing operator.
 
-    basis is the joint separable basis, slice axis last (defaults to DCT
-    factors on every axis); its leading axes are the slice basis Psi_slice.
-    Solves a single stacked l1 problem on the composed stack
-    B_s = Phi_s*Psi_slice, with only the cross-slice factor inside the
-    operator, and synthesizes the result with the full joint basis.  The
-    solve is the sweeps' ADMM, normalized by the joint ||y||, with the
-    per-slice factors of B serving the joint projection.  provider is as in
-    init_separate and must be composed with Psi_slice.  Returns (signal
-    container, converged flag).
+    Takes the same arguments as init_separate.  The joint basis is the slice
+    basis Psi_slice with a DCT across slices, joined last.  Solves a single
+    stacked l1 problem on the composed stack B_s = Phi_s*Psi_slice, with only
+    the cross-slice factor inside the operator, and synthesizes the result
+    with the joint basis.  The solve is the sweeps' ADMM, normalized by the
+    joint ||y||, with the per-slice factors of B serving the joint projection.
+    Returns (signal container, [-1] when the joint solve did not converge,
+    else []).
     """
     ens = ms.ensemble
     unknowns = ens.num_slices * ens.n
     if unknowns > KCS_MAX_UNKNOWNS:
         raise ValueError(f"KCS system has {unknowns} unknowns > guard {KCS_MAX_UNKNOWNS}; crop the input")
-    basis = basis or kcs_basis_for(ms, slice_basis_for(ms))
-    if basis.size != unknowns:
-        raise ValueError(f"joint basis size {basis.size} does not match {unknowns} unknowns")
-    slice_basis, cross = transforms.split_slice_axis(basis, ens.num_slices)
-    solver_cfg = solver_cfg or DEFAULT_SWEEP_SOLVER
-    provider = provider or _PhiProvider(ens, slice_basis)
-    provider.require(slice_basis)
-    cross_only = transforms.join_slice_axis(transforms.identity_basis(ens.n), ens.num_slices, cross)
+    solver_cfg, provider = _prepare(ms, basis, solver_cfg, provider)
+    cross_only = transforms.join_slice_axis(transforms.identity_basis(ens.n), ens.num_slices, transforms.DCT)
     b = provider.stack(0, ens.num_slices)
     state = solvers.solve_l1_batch(b, cross_only, ms.y.reshape(1, -1), solver_cfg)
-    slices = transforms.synthesize(basis, state.theta).reshape(ens.num_slices, ens.n)
+    joint = transforms.join_slice_axis(provider.basis, ens.num_slices, transforms.DCT)
+    slices = transforms.synthesize(joint, state.theta).reshape(ens.num_slices, ens.n)
     signal = sensing.signal_from_slices(slices, ms.layout, ms.signal_shape)
-    return _container(signal, ms.layout), bool(state.converged[0])
+    return _container(signal, ms.layout), [] if state.converged[0] else [-1]
 
 
 def _initialize(ms, basis, cfg, provider):
-    if cfg.init == INIT_SEPARATE:
-        container, warnings = init_separate(ms, basis, cfg.solver, provider)
-        return container.samples, [(0, w) for w in warnings]
-    container, converged = init_kcs(ms, kcs_basis_for(ms, basis), cfg.solver, provider)
-    return container.samples, ([] if converged else [(0, -1)])
+    init = init_separate if cfg.init == INIT_SEPARATE else init_kcs
+    container, unconverged = init(ms, basis, cfg.solver, provider)
+    return container.samples, [(0, w) for w in unconverged]
 
 
 # --- prediction of a full signal from the previous iterate -------------------------
 
-def predict_image_rows(flt: RowFilter, x_prev: np.ndarray) -> np.ndarray:
-    """Predict every row of an image: interior rows from their neighbors,
-    first and last row copied from the previous iterate."""
-    pred = x_prev.copy()
-    if x_prev.shape[0] > 2:
-        pred[1:-1] = predictors.predict_row(flt, x_prev[:-2], x_prev[2:])
-    return pred
+def predict_slice_rows(flt: RowFilter, x_prev: np.ndarray, layout: Layout, edge: int) -> np.ndarray:
+    """Row-filter prediction of every slice from its neighbors in x_prev.
+
+    Interior slices are predicted from both neighbors.  With edge 1 the first
+    and last slice are left to the initialization and keep x_prev; with edge 0
+    each is predicted from its one neighbor.
+    """
+    slices = sensing.slices_of(x_prev, layout)
+    pred = slices.copy()
+    if len(slices) > 2:
+        pred[1:-1] = predictors.predict_row(flt, slices[:-2], slices[2:])
+    if edge == 0 and len(slices) >= 2:
+        pred[0] = predictors.predict_row(flt, slices[1], slices[1])
+        pred[-1] = predictors.predict_row(flt, slices[-2], slices[-2])
+    return sensing.signal_from_slices(pred, layout, x_prev.shape)
 
 
 def predict_cube_bands(cfg_blockls: BlockLSPredictorConfig, f_prev: np.ndarray) -> np.ndarray:
@@ -307,29 +295,12 @@ def predict_cube_bands(cfg_blockls: BlockLSPredictorConfig, f_prev: np.ndarray) 
     return pred
 
 
-def predict_cube_spectral_rows(flt: RowFilter, f_prev: np.ndarray) -> np.ndarray:
-    """Row-filter prediction across spectral-row slices.
-
-    Slices are vectorized and treated like image rows; at the first/last row
-    only the available neighbor feeds the filter.
-    """
-    slices = sensing.slices_of(f_prev, Layout.SPECTRAL_ROWS_3D)
-    pred = slices.copy()
-    if slices.shape[0] > 2:
-        pred[1:-1] = predictors.predict_row(flt, slices[:-2], slices[2:])
-    if slices.shape[0] >= 2:
-        pred[0] = predictors.predict_row(flt, slices[1], slices[1])
-        pred[-1] = predictors.predict_row(flt, slices[-2], slices[-2])
-    return sensing.signal_from_slices(pred, Layout.SPECTRAL_ROWS_3D, f_prev.shape)
-
-
-# per layout: the filter type its prediction takes, the prediction of every
-# slice from the previous iterate, and how many slices at each end the sweeps
-# leave to the initialization (an image's first and last row)
+# per layout: the filter type its prediction takes, and how many slices at each
+# end the sweeps leave to the initialization (an image's first and last row)
 _LOOPS = {
-    Layout.ROWS_2D: (RowFilter, predict_image_rows, 1),
-    Layout.BANDS_3D: (BlockLSPredictorConfig, predict_cube_bands, 0),
-    Layout.SPECTRAL_ROWS_3D: (RowFilter, predict_cube_spectral_rows, 0),
+    Layout.ROWS_2D: (RowFilter, 1),
+    Layout.BANDS_3D: (BlockLSPredictorConfig, 0),
+    Layout.SPECTRAL_ROWS_3D: (RowFilter, 0),
 }
 
 
@@ -338,7 +309,7 @@ _LOOPS = {
 def _run_iterations(ms, basis, cfg, initial, ground_truth):
     """Shared engine: initialize (unless given initial), then predict, correct,
     test convergence, trace.  The report clock includes the initialization."""
-    filter_type, predict, edge = _LOOPS[ms.layout]
+    filter_type, edge = _LOOPS[ms.layout]
     if not isinstance(cfg.filter, filter_type):
         raise ValueError(f"layout {ms.layout.name} needs a {filter_type.__name__} filter, "
                          f"got {type(cfg.filter).__name__}")
@@ -370,7 +341,10 @@ def _run_iterations(ms, basis, cfg, initial, ground_truth):
 
     for it in range(1, cfg.max_outer_iters + 1):
         x_prev = x
-        pred = predict(cfg.filter, x_prev)
+        if filter_type is RowFilter:
+            pred = predict_slice_rows(cfg.filter, x_prev, ms.layout, edge)
+        else:
+            pred = predict_cube_bands(cfg.filter, x_prev)
         x, sweep_warn = _residual_sweep(ms, cfg.solver, pred, provider, lo, hi)
         warnings.extend((it, w) for w in sweep_warn)
         iterations = it

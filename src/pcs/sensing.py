@@ -10,9 +10,14 @@ and platforms.
 
 Entry (k, j) of slice i's matrix is element k*n + j of that slice's stream,
 drawn from N(0, 1/m).
+
+Each layout slices the signal along one axis (_SLICING); a slice is the other
+axes stacked column-major, and the slice count, length, axis lengths and the
+slice views all follow from that one entry.
 """
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
@@ -117,7 +122,9 @@ class MeasurementSet:
 
 # bytes of sensing matrices in one chunk, drawn at once by acquisition and by
 # each residual sweep; a reconstruction keeps its whole stack when it is one
-# chunk (the Kronecker initialization always draws the whole stack)
+# chunk (the Kronecker initialization always draws the whole stack).  A
+# measurement file may claim neither one slice's matrix nor a signal above it:
+# at most 2**25 float64 samples (256 MiB), e.g. a 5792 x 5792 image
 MATRIX_BUDGET_BYTES = 1 << 28
 
 
@@ -127,43 +134,41 @@ def chunk_length(ensemble: SeededSensingEnsemble) -> int:
     return max(1, min(ensemble.num_slices, MATRIX_BUDGET_BYTES // per_slice))
 
 
+# per layout: (signal rank, slice axis); a slice is the other axes, stacked
+# column-major (the first of them fastest)
+_SLICING = {Layout.ROWS_2D: (2, 0), Layout.BANDS_3D: (3, 2), Layout.SPECTRAL_ROWS_3D: (3, 0)}
+
+
+def _stacking_order(layout: Layout, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The slice axis, then the other axes slowest first: a C-order ravel in
+    this order lists the slices one after another, each stacked column-major."""
+    rank, axis = _SLICING[layout]
+    if len(shape) != rank:
+        raise ValueError(f"layout {layout.name} cannot slice a signal of shape {tuple(shape)}")
+    return (axis,) + tuple(k for k in reversed(range(rank)) if k != axis)
+
+
+def slice_dims(layout: Layout, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Axis lengths of one slice of a signal of this shape, fastest first."""
+    return tuple(shape[k] for k in _stacking_order(layout, shape)[:0:-1])
+
+
 def slice_geometry(layout: Layout, shape: tuple[int, ...]) -> tuple[int, int]:
     """(num_slices, slice length) of a signal of this shape acquired under layout."""
-    if len(shape) != (2 if layout == Layout.ROWS_2D else 3):
-        raise ValueError(f"layout {layout.name} cannot slice a signal of shape {tuple(shape)}")
-    if layout == Layout.ROWS_2D:
-        return shape[0], shape[1]
-    rows, cols, bands = shape
-    if layout == Layout.BANDS_3D:
-        return bands, rows * cols
-    return rows, cols * bands
+    dims = slice_dims(layout, shape)
+    return shape[_SLICING[layout][1]], math.prod(dims)
 
 
 def slices_of(signal: np.ndarray, layout: Layout) -> np.ndarray:
     """View the signal as a (num_slices, n) array of column-major stacked slices."""
-    if layout == Layout.ROWS_2D:
-        return signal
-    if layout == Layout.BANDS_3D:
-        # slice i = vect(band i frame): column-major over (rows, cols)
-        r, c, b = signal.shape
-        return signal.transpose(2, 1, 0).reshape(b, r * c)
-    if layout == Layout.SPECTRAL_ROWS_3D:
-        # slice i = vect(spectral row i): column-major over (cols, bands)
-        r, c, b = signal.shape
-        return signal.transpose(0, 2, 1).reshape(r, c * b)
-    raise ValueError(f"unknown layout {layout}")
+    order = _stacking_order(layout, signal.shape)
+    return signal.transpose(order).reshape(slice_geometry(layout, signal.shape))
 
 
 def signal_from_slices(slices: np.ndarray, layout: Layout, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of slices_of: reassemble the signal array from stacked slices."""
-    if layout == Layout.ROWS_2D:
-        return slices.reshape(shape)
-    r, c, b = shape
-    if layout == Layout.BANDS_3D:
-        return slices.reshape(b, c, r).transpose(2, 1, 0)
-    if layout == Layout.SPECTRAL_ROWS_3D:
-        return slices.reshape(r, b, c).transpose(0, 2, 1)
-    raise ValueError(f"unknown layout {layout}")
+    order = _stacking_order(layout, shape)
+    return slices.reshape([shape[k] for k in order]).transpose(np.argsort(order))
 
 
 def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout) -> MeasurementSet:
@@ -338,6 +343,11 @@ def load_measurements(path) -> MeasurementSet:
                 f"{path}: header n={n}, but rows={rows} cols={cols} bands={bands} "
                 f"give slices of length {length} for layout {layout.name}"
             )
+        claims = {"one slice's sensing matrix": m * n * 8, "the signal": num_slices * n * 8}
+        for what, nbytes in claims.items():
+            if nbytes > MATRIX_BUDGET_BYTES:
+                raise ValueError(f"{path}: header (m={m}, num_slices={num_slices}, n={n}) claims "
+                                 f"{what} of {nbytes} bytes, over {MATRIX_BUDGET_BYTES}")
         payload = fh.read()
     expected = num_slices * m * 8
     if len(payload) != expected:

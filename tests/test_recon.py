@@ -10,8 +10,7 @@ from pcs.recon import (
     gain_db,
     init_kcs,
     init_separate,
-    kcs_basis_for,
-    predict_image_rows,
+    predict_slice_rows,
     reconstruct_2d,
     reconstruct_3d,
     slice_basis_for,
@@ -21,6 +20,11 @@ from pcs.signals import Cube3D, Image2D
 from pcs.solvers import SolveConfig
 
 TIGHT = SolveConfig(feasibility_tol=1e-9, objective_tol=1e-10, max_solver_iters=20000)
+
+
+def joint_basis(ms):
+    """init_kcs's joint basis: the default slice basis with a DCT across slices, joined last."""
+    return transforms.join_slice_axis(slice_basis_for(ms), ms.ensemble.num_slices, transforms.DCT)
 
 
 class TestGainDb:
@@ -87,8 +91,8 @@ class TestInitKCS:
         ens = SeededSensingEnsemble(6, 1, 10, 16)
         ms = acquire_bands_3d(cube, ens)
         sep, _ = init_separate(ms, solver_cfg=TIGHT)
-        kcs, conv = init_kcs(ms, solver_cfg=TIGHT)
-        assert conv
+        kcs, unconverged = init_kcs(ms, solver_cfg=TIGHT)
+        assert unconverged == []
         assert np.abs(sep.samples - kcs.samples).max() < 1e-8
 
     def test_square_blocks_recover_exactly(self):
@@ -96,8 +100,8 @@ class TestInitKCS:
         cube = Cube3D(rng.random((4, 4, 2)))
         ens = SeededSensingEnsemble(8, 2, 16, 16, non_compressive=True)
         ms = acquire_bands_3d(cube, ens)
-        rec, conv = init_kcs(ms, solver_cfg=TIGHT)
-        assert conv
+        rec, unconverged = init_kcs(ms, solver_cfg=TIGHT)
+        assert unconverged == []
         assert np.abs(rec.samples - cube.samples).max() < 1e-6
 
     def test_beats_separate_at_low_rate(self):
@@ -129,7 +133,7 @@ class TestInitKCS:
         # the composed stack with only the cross-slice factor inside the
         # operator poses the same problem as the raw stack with the full basis
         ms = acquire(scene(), ens)
-        joint = kcs_basis_for(ms, slice_basis_for(ms))
+        joint = joint_basis(ms)
         raw = solvers.solve_l1_batch(sensing.draw_sensing_stack(ens, 0, ens.num_slices), joint,
                                      ms.y.reshape(1, -1), recon.DEFAULT_SWEEP_SOLVER)
         want = sensing.signal_from_slices(
@@ -138,16 +142,17 @@ class TestInitKCS:
         states = []
         solve = solvers.solve_l1_batch
         monkeypatch.setattr(solvers, "solve_l1_batch", lambda *a: states.append(solve(*a)) or states[-1])
-        rec, conv = init_kcs(ms)
+        rec, unconverged = init_kcs(ms)
         assert np.linalg.norm(rec.samples - want) <= 1e-10 * np.linalg.norm(want)
         assert states[0].iterations[0] == raw.iterations[0]
-        assert conv == states[0].converged[0] == raw.converged[0]
+        assert (unconverged == []) == states[0].converged[0] == raw.converged[0]
 
     def test_non_kronecker_joint_basis_rejected(self):
         cube = dataio.synth_cube(76, 4, 4, 3)
         ms = acquire_bands_3d(cube, SeededSensingEnsemble(77, 3, 8, 16))
+        # init_kcs takes the slice basis and joins the slice axis itself
         for joint in (transforms.dct1d_basis(48), transforms.separable3d_basis(3, 4, 4)):
-            with pytest.raises(ValueError, match="slice axis"):
+            with pytest.raises(ValueError, match="basis size"):
                 init_kcs(ms, joint)
 
 
@@ -203,7 +208,7 @@ class TestReconstruct2D:
         cfg1 = ReconConfig(max_outer_iters=report.iterations_run - 1) if report.iterations_run > 1 else None
         prev, _ = reconstruct_2d(ms, None, cfg1) if cfg1 else (None, None)
         base = prev.samples if prev is not None else init_separate(ms)[0].samples
-        pred = predict_image_rows(cfg.filter, base)
+        pred = predict_slice_rows(cfg.filter, base, Layout.ROWS_2D, 1)
         warned = {w for _, w in report.solver_warnings}
         for i in range(1, 15):
             if i in warned:
@@ -341,6 +346,64 @@ class TestReconstruct3D:
         assert report.mse_trace[-1] < report.mse_trace[0]
 
 
+# one small scene per layout: acquisition, scene, ensemble, container type
+LAYOUT_SCENES = {
+    "rows2d": (acquire_rows_2d, lambda: dataio.synth_image(90, 6, 8),
+               SeededSensingEnsemble(91, 6, 4, 8), Image2D),
+    "bands3d": (acquire_bands_3d, lambda: dataio.synth_cube(92, 4, 4, 3),
+                SeededSensingEnsemble(93, 3, 8, 16), Cube3D),
+    "spectral_rows3d": (acquire_spectral_rows_3d, lambda: dataio.synth_cube(94, 5, 4, 3),
+                        SeededSensingEnsemble(95, 5, 6, 12), Cube3D),
+}
+
+
+@pytest.mark.parametrize("init", [init_separate, init_kcs], ids=["separate", "kcs"])
+@pytest.mark.parametrize("layout", list(LAYOUT_SCENES))
+def test_both_initializations_share_one_contract(init, layout):
+    # the same arguments (measurements, slice basis, solver profile, provider)
+    # and the same return: a container of the layout's type and the
+    # unconverged slices as ints (-1 for the joint solve)
+    acquire, scene, ens, container = LAYOUT_SCENES[layout]
+    ms = acquire(scene(), ens)
+    basis = slice_basis_for(ms)
+    provider = recon._PhiProvider(ens, basis)
+    rec, unconverged = init(ms, basis=basis, solver_cfg=SolveConfig(max_solver_iters=25),
+                            provider=provider)
+    assert type(rec) is container and rec.samples.shape == ms.signal_shape
+    assert type(unconverged) is list and unconverged
+    assert all(type(i) is int and -1 <= i < ens.num_slices for i in unconverged)
+
+
+@pytest.mark.parametrize("layout", ["rows2d", "spectral_rows3d"])
+def test_row_filter_prediction_at_the_edges(monkeypatch, layout):
+    # the sweeps leave an image's first and last row to the initialization, so
+    # they keep the previous iterate; a cube's first and last spectral rows are
+    # solved, so each is predicted from its one neighbor
+    acquire, scene, ens, _ = LAYOUT_SCENES[layout]
+    truth = scene()
+    ms = acquire(truth, ens)
+    sweeps = []
+
+    def keep_prediction(ms, cfg, pred, provider, lo, hi):
+        sweeps.append((lo, hi))
+        return pred, []
+
+    monkeypatch.setattr(recon, "_residual_sweep", keep_prediction)
+    run = reconstruct_2d if layout == "rows2d" else reconstruct_3d
+    rec, _ = run(ms, None, ReconConfig(filter=P3, max_outer_iters=1), initial=truth)
+    prev = sensing.slices_of(truth.samples, ms.layout)
+    pred = sensing.slices_of(rec.samples, ms.layout)
+    assert np.array_equal(pred[1:-1], predictors.predict_row(P3, prev[:-2], prev[2:]))
+    if layout == "rows2d":
+        assert sweeps == [(1, ens.num_slices - 1)]
+        assert np.array_equal(pred[[0, -1]], prev[[0, -1]])
+    else:
+        assert sweeps == [(0, ens.num_slices)]
+        assert np.array_equal(pred[0], predictors.predict_row(P3, prev[1], prev[1]))
+        assert np.array_equal(pred[-1], predictors.predict_row(P3, prev[-2], prev[-2]))
+        assert not np.allclose(pred[[0, -1]], prev[[0, -1]])
+
+
 def _coefficients_for_energy(cube: np.ndarray, fraction: float = 0.999) -> float:
     """Median over bands of the number of 2-D DCT coefficients that hold
     fraction of the band's energy."""
@@ -424,7 +487,7 @@ class TestComposedProvider:
             recon._PhiProvider(ms.ensemble, transforms.dct1d_basis(12))
 
     def test_init_kcs_refuses_a_provider_of_another_slice_basis(self):
-        # the default joint basis has a DCT per-slice factor
+        # the default slice basis has DCT factors
         _, ms, _ = self._scene()
         provider = recon._PhiProvider(ms.ensemble, transforms.identity_basis(16))
         with pytest.raises(ValueError, match="composed with"):
@@ -472,7 +535,7 @@ class TestKCSBasis:
         cube = dataio.synth_cube(41, 4, 3, 2)
         ens = SeededSensingEnsemble(42, 2, 6, 12)
         ms = acquire_bands_3d(cube, ens)
-        joint = kcs_basis_for(ms, slice_basis_for(ms))
+        joint = joint_basis(ms)
         stacked = sensing.slices_of(cube.samples, ms.layout).reshape(-1)
         theta = transforms.analyze(joint, stacked)
         np.testing.assert_allclose(transforms.synthesize(joint, theta), stacked, atol=1e-10)
@@ -483,7 +546,7 @@ class TestKCSBasis:
         img = dataio.synth_image(45, 4, 6)
         ens = SeededSensingEnsemble(46, 4, 3, 6)
         ms = acquire_rows_2d(img, ens)
-        joint = kcs_basis_for(ms, slice_basis_for(ms))
+        joint = joint_basis(ms)
         stacked = img.samples.reshape(-1)  # row-major stack = per-row slices
         theta = transforms.analyze(joint, stacked)
         dense = transforms.dense_synthesis_matrix(joint)
@@ -500,19 +563,16 @@ class TestKCSBasis:
     ], ids=["rows2d-separable-slice", "bands3d-cols-rows"])
     def test_kcs_reconstruction_with_a_slice_basis_of_other_dims(self, acquire, scene, ens,
                                                                  slice_basis, cfg):
-        # the joint basis extends the caller's slice basis, so it matches the
-        # provider the reconstruction composes with that basis
+        # init_kcs joins the slice axis to the caller's slice basis, so its
+        # joint solve runs on the provider the reconstruction composes with it
         truth = scene()
         ms = acquire(truth, ens)
-        joint = kcs_basis_for(ms, slice_basis)
-        assert joint.dims == slice_basis.dims + (ens.num_slices,)
-        assert joint.factors == slice_basis.factors + (transforms.DCT,)
         run = reconstruct_2d if ms.layout == sensing.Layout.ROWS_2D else reconstruct_3d
         rec, report = run(ms, slice_basis, cfg, ground_truth=truth)
         assert rec.samples.shape == ms.signal_shape
         assert np.isfinite(report.mse_trace).all()
-        with pytest.raises(ValueError, match="slice basis size"):
-            kcs_basis_for(ms, transforms.dct1d_basis(ens.n + 1))
+        with pytest.raises(ValueError, match="basis size"):
+            init_kcs(ms, transforms.dct1d_basis(ens.n + 1))
 
     def test_rows2d_kcs_beats_separate_on_correlated_image(self):
         img = dataio.synth_image(47, 16, 16)
@@ -526,7 +586,7 @@ class TestKCSBasis:
         cube = dataio.synth_cube(43, 4, 3, 2)
         ens = SeededSensingEnsemble(44, 2, 6, 12)
         ms = acquire_bands_3d(cube, ens)
-        joint = kcs_basis_for(ms, slice_basis_for(ms))
+        joint = joint_basis(ms)
         stacked = sensing.slices_of(cube.samples, ms.layout).reshape(-1)
         theta = transforms.analyze(joint, stacked)
         y = sensing.block_diag_apply(ens, transforms.synthesize(joint, theta))

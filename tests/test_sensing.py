@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcs import sensing
+from pcs import recon, sensing
 from pcs.sensing import (
     BlockDiagOperator,
     Layout,
@@ -32,6 +33,10 @@ def layouts_and_shapes(draw):
     layout = draw(st.sampled_from(list(Layout)))
     shape = (draw(dims), draw(dims)) if layout == Layout.ROWS_2D else (draw(dims), draw(dims), draw(dims))
     return layout, shape
+
+
+# the axis each layout slices along
+SLICE_AXIS = {Layout.ROWS_2D: 0, Layout.BANDS_3D: 2, Layout.SPECTRAL_ROWS_3D: 0}
 
 
 def slice_count_and_length(layout, shape):
@@ -202,6 +207,15 @@ def test_slices_round_trip(case, seed):
     assert np.array_equal(sensing.signal_from_slices(slices, layout, shape), signal)
     other = np.random.default_rng(seed + 1).normal(size=slices.shape)
     assert np.array_equal(sensing.slices_of(sensing.signal_from_slices(other, layout, shape), layout), other)
+    # a slice is the other axes, stacked column-major: fastest first
+    dims = sensing.slice_dims(layout, shape)
+    assert np.prod(dims) == slices.shape[1]
+    for i, s in enumerate(slices):
+        assert np.array_equal(s.reshape(dims, order="F"), np.take(signal, i, axis=SLICE_AXIS[layout]))
+    ms = MeasurementSet(np.zeros((slices.shape[0], 1)),
+                        SeededSensingEnsemble(seed, slices.shape[0], 1, slices.shape[1], non_compressive=True),
+                        layout, shape)
+    assert recon.slice_basis_for(ms).dims == dims
 
 
 class TestBlockDiag:
@@ -351,6 +365,53 @@ class TestMeasurementFile:
         path = self._saved_then_patched(tmp_path, ms, offset, "<I", value)
         with pytest.raises(ValueError, match=field):
             load_measurements(path)
+
+    @staticmethod
+    def _claiming(layout, m, rows, cols, bands):
+        """A measurement file whose header claims this signal, payload zeros."""
+        num_slices, n = slice_count_and_length(layout, (rows, cols) if layout == Layout.ROWS_2D
+                                               else (rows, cols, bands))
+        flags = 2 if m >= n else 0
+        header = struct.pack("<4sHHQ8I", b"PCSM", 1, int(layout), 0, m, num_slices, n,
+                             rows, cols, bands, flags, 0)
+        return header + bytes(8 * num_slices * m), m * n * 8, num_slices * n * 8
+
+    @pytest.mark.parametrize("layout, rows, cols, bands", [
+        (Layout.ROWS_2D, 1, 2**31, 1),
+        (Layout.BANDS_3D, 4096, 4096, 4096),
+    ], ids=["rows2d-17GB", "bands3d-550GB"])
+    def test_header_claiming_more_than_the_budget_refused(self, tmp_path, layout, rows, cols, bands):
+        path = tmp_path / "m.pcsm"
+        path.write_bytes(self._claiming(layout, 1, rows, cols, bands)[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="claims"):
+                load_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(list(Layout)), slices=st.integers(1, 16),
+           m=st.integers(1, 1024))
+    def test_every_header_loads_within_the_budget_or_is_refused(self, data, layout, slices, m):
+        # claims up to 2**32 per field; the payload holds the slices*m doubles
+        a = data.draw(st.integers(1, 2**32 - 1))
+        b = data.draw(st.integers(1, (2**32 - 1) // a))
+        rows, cols, bands = {Layout.ROWS_2D: (slices, a, 1), Layout.BANDS_3D: (a, b, slices),
+                             Layout.SPECTRAL_ROWS_3D: (slices, a, b)}[layout]
+        raw, matrix_bytes, signal_bytes = self._claiming(layout, m, rows, cols, bands)
+        over = max(matrix_bytes, signal_bytes) > sensing.MATRIX_BUDGET_BYTES
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.pcsm"
+            path.write_bytes(raw)
+            if over:
+                with pytest.raises(ValueError, match="claims"):
+                    load_measurements(path)
+            else:
+                ms = load_measurements(path)
+                assert ms.y.shape == (slices, m) and ms.ensemble.m * ms.ensemble.n * 8 == matrix_bytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.pcsm"
