@@ -15,6 +15,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -130,14 +131,17 @@ def cmd_synth(args) -> int:
 
 # --- acquire ---------------------------------------------------------------------
 
+def _for_layout(signal, layout: Layout):
+    """signal as layout takes it: a 1-band cube serves as an image for rows2d."""
+    if layout == Layout.ROWS_2D and isinstance(signal, Cube3D) and signal.n_bands == 1:
+        return Image2D(signal.samples[:, :, 0])
+    return signal
+
+
 def _acquire(signal, layout: Layout, m: int, seed: int,
              shared_matrix: bool = False, non_compressive: bool = False) -> sensing.MeasurementSet:
-    """Measure signal slice by slice through the sensing entry point of layout.
-
-    A 1-band cube serves as an image for rows2d.
-    """
-    if layout == Layout.ROWS_2D and isinstance(signal, Cube3D) and signal.n_bands == 1:
-        signal = Image2D(signal.samples[:, :, 0])
+    """Measure signal slice by slice through the sensing entry point of layout."""
+    signal = _for_layout(signal, layout)
     num_slices, n = sensing.slice_geometry(layout, signal.samples.shape)
     ensemble = sensing.SeededSensingEnsemble(seed, num_slices, m, n, shared_matrix, non_compressive)
     # looked up at call time, so that a wrapper installed on the module is seen
@@ -211,14 +215,9 @@ def cmd_reconstruct(args) -> int:
     basis = recon.slice_basis_for(ms, kind=args.basis)
     truth = None
     if args.truth:
-        truth = _load_signal(args.truth)
-        want = ms.signal_shape
-        got = truth.samples.shape
-        if len(want) == 2 and got == want + (1,):
-            truth = Image2D(truth.samples[:, :, 0])
-            got = truth.samples.shape
-        if got != want:
-            return _fail(f"truth shape {got} does not match measurements {want}")
+        truth = _for_layout(_load_signal(args.truth), ms.layout)
+        if truth.samples.shape != ms.signal_shape:
+            return _fail(f"truth shape {truth.samples.shape} does not match measurements {ms.signal_shape}")
     cube, report = _reconstruct(ms, basis, cfg, truth)
     prefix = Path(args.output)
     recon_path = prefix.with_suffix(".pcs3")
@@ -320,32 +319,41 @@ def _csv_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _flag(value: str) -> bool:
+    return value.lower() in ("true", "1", "yes")
+
+
+# the suite keys every cell carries, with their types; a cell adds m, init,
+# filter, seed and the marker omp, which no suite can set
+_CELL_TYPES = {
+    "scenario": str, "rows": int, "cols": int, "bands": int, "basis": str, "iters": int,
+    "tol": float, "solver_feas": float, "solver_obj": float, "solver_iters": int,
+    "block_size": int, "omp_budget_fraction": float,
+}
+# the columns that name a cell in every CSV
+_KEY_COLS = ["scenario", "m", "init", "filter", "seed"]
+_CSV_NAMES = ("mse_vs_iter.csv", "mse_vs_m.csv", "mse_per_band.csv", "compressibility_vs_iter.csv")
+
+
 def _cell_scene(cell: dict):
     if cell["scenario"] == "2d":
         return dataio.synth_image(cell["seed"], cell["rows"], cell["cols"])
     return dataio.synth_cube(cell["seed"], cell["rows"], cell["cols"], cell["bands"])
 
 
-def _run_benchmark_cell(cell: dict) -> dict:
-    """One grid cell: synth, acquire, reconstruct; returns plain rows."""
-    scenario = cell["scenario"]
+def _run_cell(cell: dict) -> dict:
+    """One grid cell: synth, acquire, reconstruct (or the OMP baseline); returns plain rows."""
+    if cell["omp"]:
+        return _run_omp_cell(cell)
     scene = _cell_scene(cell)
-    ms = _acquire(scene, _SCENARIO_LAYOUTS[scenario], cell["m"], cell["seed"])
+    ms = _acquire(scene, _SCENARIO_LAYOUTS[cell["scenario"]], cell["m"], cell["seed"])
     basis = recon.slice_basis_for(ms, kind=cell["basis"])
     result, report = _reconstruct(ms, basis, _recon_config(cell), scene)
-    band_mse = [] if scenario == "2d" else [
+    band_mse = [] if cell["scenario"] == "2d" else [
         metrics.mse(result.samples[:, :, b], scene.samples[:, :, b])
         for b in range(cell["bands"])
     ]
-    key = {
-        "scenario": scenario,
-        "m": cell["m"],
-        "init": cell["init"],
-        "filter": cell["filter"],
-        "seed": cell["seed"],
-    }
     return {
-        "key": key,
         "mse_trace": report.mse_trace,
         "rel_trace": report.rel_change_trace,
         "compress_trace": report.compressibility_trace,
@@ -358,14 +366,12 @@ def _run_benchmark_cell(cell: dict) -> dict:
 
 def _run_omp_cell(cell: dict) -> dict:
     """Whole-signal OMP baseline with the same total measurement budget."""
-    scenario = cell["scenario"]
-    seed = cell["seed"]
     truth = _cell_scene(cell).samples
     dims = truth.shape
     n = int(np.prod(dims))
-    num_slices, _ = sensing.slice_geometry(_SCENARIO_LAYOUTS[scenario], dims)
+    num_slices, _ = sensing.slice_geometry(_SCENARIO_LAYOUTS[cell["scenario"]], dims)
     m_total = cell["m"] * num_slices
-    ens = sensing.SeededSensingEnsemble(seed, 1, m_total, n)
+    ens = sensing.SeededSensingEnsemble(cell["seed"], 1, m_total, n)
     phi = sensing.draw_sensing_matrix(ens, 0)
     flat = truth.ravel(order="F")
     y = phi @ flat
@@ -374,9 +380,7 @@ def _run_omp_cell(cell: dict) -> dict:
     result = solvers.solve_omp(phi, basis, y, sparsity_budget=budget, residual_tol=1e-6)
     rec = transforms.synthesize(basis, result.theta_hat)
     err = float(np.mean((rec - flat) ** 2))
-    key = {"scenario": scenario, "m": cell["m"], "init": "omp", "filter": "-", "seed": seed}
     return {
-        "key": key,
         "mse_trace": [err, err],
         "rel_trace": [float("nan"), 0.0],
         "compress_trace": None,
@@ -385,6 +389,14 @@ def _run_omp_cell(cell: dict) -> dict:
         "band_mse": [],
         "recon": rec.reshape(dims, order="F"),
     }
+
+
+def _attempt(cell: dict, run) -> tuple:
+    """(cell, run(), None), or (cell, None, message) when run raises: a failed cell is recorded."""
+    try:
+        return cell, run(), None
+    except Exception as exc:
+        return cell, None, str(exc)
 
 
 def _fmt(value) -> str:
@@ -410,139 +422,61 @@ def cmd_benchmark(args) -> int:
 
     m_values = [int(v) for v in _csv_list(cfg["m"])]
     seeds = [int(v) for v in _csv_list(cfg["seeds"])]
-    inits = _csv_list(cfg["init"])
-    filters = _csv_list(cfg["filter"])
-    cells = []
-    for m, init, flt, seed in itertools.product(m_values, inits, filters, seeds):
-        cells.append(
-            {
-                "kind": "recon",
-                "scenario": cfg["scenario"],
-                "rows": int(cfg["rows"]),
-                "cols": int(cfg["cols"]),
-                "bands": int(cfg["bands"]),
-                "m": m,
-                "seed": seed,
-                "init": init,
-                "filter": flt,
-                "basis": cfg["basis"],
-                "iters": int(cfg["iters"]),
-                "tol": float(cfg["tol"]),
-                "solver_feas": float(cfg["solver_feas"]),
-                "solver_obj": float(cfg["solver_obj"]),
-                "solver_iters": int(cfg["solver_iters"]),
-                "block_size": int(cfg["block_size"]),
-                "omp_budget_fraction": float(cfg["omp_budget_fraction"]),
-            }
-        )
-    if cfg["include_omp"].lower() in ("true", "1", "yes"):
-        for m, seed in itertools.product(m_values, seeds):
-            base = {
-                "kind": "omp",
-                "scenario": cfg["scenario"],
-                "rows": int(cfg["rows"]),
-                "cols": int(cfg["cols"]),
-                "bands": int(cfg["bands"]),
-                "m": m,
-                "seed": seed,
-                "omp_budget_fraction": float(cfg["omp_budget_fraction"]),
-            }
-            cells.append(base)
+    base = {key: kind(cfg[key]) for key, kind in _CELL_TYPES.items()}
+    cells = [{**base, "m": m, "init": init, "filter": flt, "seed": seed, "omp": False}
+             for m, init, flt, seed in itertools.product(
+                 m_values, _csv_list(cfg["init"]), _csv_list(cfg["filter"]), seeds)]
+    if _flag(cfg["include_omp"]):
+        cells += [{**base, "m": m, "init": "omp", "filter": "-", "seed": seed, "omp": True}
+                  for m, seed in itertools.product(m_values, seeds)]
 
     jobs = args.jobs or int(cfg["jobs"])
-    results = []
-    failures = []
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_cell_worker, c) for c in cells]
-            for i, fut in enumerate(futures):
-                try:
-                    results.append((i, fut.result()))
-                except Exception as exc:  # cell failure: record, keep going
-                    failures.append((i, cells[i], str(exc)))
+            futures = [pool.submit(_run_cell, c) for c in cells]
+            outcomes = [_attempt(c, fut.result) for c, fut in zip(cells, futures)]
     else:
-        for i, c in enumerate(cells):
-            try:
-                results.append((i, _cell_worker(c)))
-            except Exception as exc:
-                failures.append((i, c, str(exc)))
-    results.sort(key=lambda pair: pair[0])
+        outcomes = [_attempt(c, partial(_run_cell, c)) for c in cells]
+    done = [(cell, res) for cell, res, err in outcomes if err is None]
 
     manifest = RunManifest(
         command="benchmark",
         config=cfg,
         master_seed=None,
         input_digest=_sha256_file(args.suite),
-        outputs=[
-            str(outdir / name)
-            for name in (
-                "mse_vs_iter.csv",
-                "mse_vs_m.csv",
-                "mse_per_band.csv",
-                "compressibility_vs_iter.csv",
-            )
-        ],
+        outputs=[str(outdir / name) for name in _CSV_NAMES],
         versions=_versions(),
     )
     digest = manifest.write(outdir / "manifest.json")
 
-    key_cols = ["scenario", "m", "init", "filter", "seed"]
-
-    def key_vals(res):
-        return [res["key"][c] for c in key_cols]
-
-    save_recons = cfg["save_recons"].lower() in ("true", "1", "yes")
-    if save_recons and results:
+    if _flag(cfg["save_recons"]) and done:
         (outdir / "recons").mkdir(exist_ok=True)
-        for _, res in results:
-            k = res["key"]
-            name = f"{k['scenario']}_m{k['m']}_{k['init']}_{k['filter']}_s{k['seed']}.pcs3"
+        for cell, res in done:
+            name = "{scenario}_m{m}_{init}_{filter}_s{seed}.pcs3".format(**cell)
             arr = res["recon"]
-            cube = Cube3D(arr[:, :, None] if arr.ndim == 2 else arr)
-            dataio.save_cube(cube, outdir / "recons" / name)
+            dataio.save_cube(Cube3D(arr[:, :, None] if arr.ndim == 2 else arr), outdir / "recons" / name)
 
     iter_rows, m_rows, band_rows, comp_rows = [], [], [], []
-    for _, res in results:
-        mse_trace = res["mse_trace"]
-        for it, mse_val in enumerate(mse_trace):
-            iter_rows.append(key_vals(res) + [it, mse_val, res["rel_trace"][it]])
-        m_rows.append(
-            key_vals(res)
-            + [
-                mse_trace[0],
-                mse_trace[-1],
-                recon.gain_db(mse_trace[0], mse_trace[-1])
-                if mse_trace[0] > 0 and mse_trace[-1] > 0
-                else float("nan"),
-                res["iterations"],
-                res["converged"],
-            ]
-        )
-        for b, v in enumerate(res["band_mse"]):
-            band_rows.append(key_vals(res) + [b, v])
-        if res["compress_trace"]:
-            for it, c in enumerate(res["compress_trace"]):
-                comp_rows.append(key_vals(res) + [it, c])
+    for cell, res in done:
+        key = [cell[c] for c in _KEY_COLS]
+        trace = res["mse_trace"]
+        iter_rows += [key + [it, v, res["rel_trace"][it]] for it, v in enumerate(trace)]
+        gain = (recon.gain_db(trace[0], trace[-1]) if trace[0] > 0 and trace[-1] > 0
+                else float("nan"))
+        m_rows.append(key + [trace[0], trace[-1], gain, res["iterations"], res["converged"]])
+        band_rows += [key + [b, v] for b, v in enumerate(res["band_mse"])]
+        comp_rows += [key + [it, c] for it, c in enumerate(res["compress_trace"] or [])]
+    headers = (["iteration", "mse", "relative_change"],
+               ["init_mse", "final_mse", "gain_db", "iterations", "converged"],
+               ["band", "mse"], ["iteration", "mean_row_compressibility"])
+    for name, header, rows in zip(_CSV_NAMES, headers, (iter_rows, m_rows, band_rows, comp_rows)):
+        _write_csv(outdir / name, digest, _KEY_COLS + header, rows)
 
-    _write_csv(outdir / "mse_vs_iter.csv", digest,
-               key_cols + ["iteration", "mse", "relative_change"], iter_rows)
-    _write_csv(outdir / "mse_vs_m.csv", digest,
-               key_cols + ["init_mse", "final_mse", "gain_db", "iterations", "converged"], m_rows)
-    _write_csv(outdir / "mse_per_band.csv", digest, key_cols + ["band", "mse"], band_rows)
-    _write_csv(outdir / "compressibility_vs_iter.csv", digest,
-               key_cols + ["iteration", "mean_row_compressibility"], comp_rows)
-
-    print(f"wrote {len(results)} cells to {outdir} (manifest {digest[:12]})")
-    for _, cell, err in failures:
-        print(f"cell failed: {cell.get('scenario')} m={cell.get('m')} seed={cell.get('seed')}: {err}",
-              file=sys.stderr)
-    return 0 if not failures else 1
-
-
-def _cell_worker(cell: dict) -> dict:
-    if cell["kind"] == "omp":
-        return _run_omp_cell(cell)
-    return _run_benchmark_cell(cell)
+    print(f"wrote {len(done)} cells to {outdir} (manifest {digest[:12]})")
+    failed = [(cell, err) for cell, _, err in outcomes if err is not None]
+    for cell, err in failed:
+        print(f"cell failed: {cell['scenario']} m={cell['m']} seed={cell['seed']}: {err}", file=sys.stderr)
+    return 0 if not failed else 1
 
 
 # --- entry point -----------------------------------------------------------------------

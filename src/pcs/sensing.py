@@ -43,7 +43,8 @@ class SeededSensingEnsemble:
 
     master_seed is taken modulo 2**64.  With shared_matrix=True every slice
     reuses the slice-0 matrix (ablation switch); by default each slice gets
-    an independent stream.
+    an independent stream.  Neither one slice's matrix nor the signal may
+    exceed MATRIX_BUDGET_BYTES, so acquisition and loading refuse one claim.
     """
 
     master_seed: int
@@ -63,6 +64,12 @@ class SeededSensingEnsemble:
                 f"m={self.m} >= n={self.n}: not compressive "
                 "(pass non_compressive=True for the reference mode)"
             )
+        claims = {"one slice's sensing matrix": self.m * self.n * 8,
+                  "the signal": self.num_slices * self.n * 8}
+        for what, nbytes in claims.items():
+            if nbytes > MATRIX_BUDGET_BYTES:
+                raise ValueError(f"(m={self.m}, num_slices={self.num_slices}, n={self.n}) claims "
+                                 f"{what} of {nbytes} bytes, over {MATRIX_BUDGET_BYTES}")
 
     @property
     def seed_u64(self) -> int:
@@ -122,9 +129,9 @@ class MeasurementSet:
 
 # bytes of sensing matrices in one chunk, drawn at once by acquisition and by
 # each residual sweep; a reconstruction keeps its whole stack when it is one
-# chunk (the Kronecker initialization always draws the whole stack).  A
-# measurement file may claim neither one slice's matrix nor a signal above it:
-# at most 2**25 float64 samples (256 MiB), e.g. a 5792 x 5792 image
+# chunk (the Kronecker initialization always draws the whole stack).  An
+# ensemble may claim neither one slice's matrix nor a signal above it: at most
+# 2**25 float64 samples (256 MiB), e.g. a 5792 x 5792 image
 MATRIX_BUDGET_BYTES = 1 << 28
 
 
@@ -343,11 +350,10 @@ def load_measurements(path) -> MeasurementSet:
                 f"{path}: header n={n}, but rows={rows} cols={cols} bands={bands} "
                 f"give slices of length {length} for layout {layout.name}"
             )
-        claims = {"one slice's sensing matrix": m * n * 8, "the signal": num_slices * n * 8}
-        for what, nbytes in claims.items():
-            if nbytes > MATRIX_BUDGET_BYTES:
-                raise ValueError(f"{path}: header (m={m}, num_slices={num_slices}, n={n}) claims "
-                                 f"{what} of {nbytes} bytes, over {MATRIX_BUDGET_BYTES}")
+        try:
+            ensemble = SeededSensingEnsemble(seed, num_slices, m, n, bool(flags & 1), bool(flags & 2))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header {exc}") from None
         payload = fh.read()
     expected = num_slices * m * 8
     if len(payload) != expected:
@@ -357,12 +363,4 @@ def load_measurements(path) -> MeasurementSet:
     y = np.frombuffer(payload, dtype="<f8").reshape(num_slices, m).copy()
     if not np.isfinite(y).all():
         raise ValueError(f"{path}: payload y holds non-finite values")
-    ensemble = SeededSensingEnsemble(
-        master_seed=seed,
-        num_slices=num_slices,
-        m=m,
-        n=n,
-        shared_matrix=bool(flags & 1),
-        non_compressive=bool(flags & 2),
-    )
     return MeasurementSet(y, ensemble, layout, shape)

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 
 from . import transforms
 from .transforms import SparsityBasis
@@ -109,14 +110,14 @@ class BatchedOperator:
     (Psi_cross (x) I) (_compose).  A cross-slice DCT over at most
     _DENSE_CROSS_MAX slices is applied as one S x S matrix product on the
     (S, n) array of segments; over more slices the S^2*n product costs more
-    than the transform, which then runs instead.
+    than a DCT along the slice axis of that array, which then runs instead.
     """
 
     def __init__(self, phi: np.ndarray, cross: str | None = None):
         self.phi = np.asarray(phi, dtype=np.float64)
         self.cross = cross
         slices, m, n = self.phi.shape
-        self._dense = self._transform = None
+        self._dense = None
         if cross is None:
             self.joint, self.batch, self.m, self.n = False, slices, m, n
             return
@@ -125,25 +126,23 @@ class BatchedOperator:
         self.joint, self.batch, self.m, self.n = True, 1, slices * m, slices * n
         if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
             self._dense = transforms.dct_matrix(slices)
-        elif cross == transforms.DCT:
-            self._transform = transforms.join_slice_axis(transforms.identity_basis(n), slices, cross)
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
         """Coefficients (batch, n) -> per-slice signals (S, n_slice)."""
-        slices, _, n = self.phi.shape
-        x = theta.reshape(slices, n)
+        x = theta.reshape(self.phi.shape[0], -1)
         if self._dense is not None:
             x = self._dense.T @ x
-        if self._transform is not None:
-            x = transforms.synthesize(self._transform, x.reshape(1, -1))
-        return x.reshape(slices, n)
+        elif self.cross == transforms.DCT:
+            x = dct(x, type=3, axis=0, norm="ortho")
+        return x
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """Per-slice signals (S, n_slice) -> coefficients (batch, n); inverse of synthesize."""
-        if self._transform is not None:
-            x = transforms.analyze(self._transform, x.reshape(1, -1))
+        x = x.reshape(self.phi.shape[0], -1)
         if self._dense is not None:
-            x = self._dense @ x.reshape(self.phi.shape[0], -1)
+            x = self._dense @ x
+        elif self.cross == transforms.DCT:
+            x = dct(x, type=2, axis=0, norm="ortho")
         return x.reshape(self.batch, self.n)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:

@@ -70,6 +70,16 @@ class TestAcquire:
         main(["acquire", str(img), "-m", "6", "--seed", "11", "-o", "b.pcsm"])
         assert (workdir / "a.pcsm").read_bytes() == (workdir / "b.pcsm").read_bytes()
 
+    def test_signal_over_the_matrix_budget_refused_before_any_draw(self, workdir, monkeypatch, capsys):
+        # the 32x32 image claims 8192 bytes: acquire refuses what the loader would
+        img = _synth_image(workdir, rows=32, cols=32)
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 4096)
+        draws = []
+        monkeypatch.setattr(sensing, "draw_sensing_matrix", lambda *a: draws.append(a))
+        assert main(["acquire", str(img), "-m", "8", "-o", "m.pcsm"]) == 2
+        assert "claims the signal of 8192 bytes" in capsys.readouterr().err
+        assert draws == [] and not (workdir / "m.pcsm").exists()
+
     def test_layout_needs_cube(self, workdir, capsys):
         img = _synth_image(workdir)
         assert main(["acquire", str(img), "--layout", "bands3d", "-m", "8", "-o", "m.pcsm"]) == 2
@@ -262,14 +272,15 @@ class TestBenchmark:
         lines = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()
         assert lines[2].startswith("3d_rows,8,")
 
-    def test_failed_cell_recorded_run_continues(self, workdir, capsys):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cell_recorded_run_continues(self, workdir, capsys, jobs):
         # m = 16 equals the slice length for a 4x4 band: that cell fails, the
         # m = 8 cell still lands in the CSVs and the exit code flags trouble
         Path("suite.txt").write_text(
             "scenario = 3d\nrows = 4\ncols = 4\nbands = 2\nm = 16,8\nseeds = 0\n"
             "filter = blockls\niters = 1\n"
         )
-        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 1
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench", "--jobs", str(jobs)]) == 1
         err = capsys.readouterr().err
         assert "cell failed" in err
         rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
@@ -287,6 +298,32 @@ class TestBenchmark:
         rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
         assert len(rows) == 1 and rows[0].startswith("3d,8,separate,blockls,0,")
         assert [p.name for p in (workdir / "bench" / "recons").iterdir()] == ["3d_m8_separate_blockls_s0.pcs3"]
+
+    def test_recons_not_saved_when_switched_off(self, workdir):
+        Path("suite.txt").write_text(SUITE + "include_omp = true\nsave_recons = false\n")
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 0
+        assert len((workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()) == 2 + 4
+        assert not (workdir / "bench" / "recons").exists()
+
+    def test_3d_omp_cells_have_no_band_rows(self, workdir):
+        Path("suite.txt").write_text(
+            "scenario = 3d\nrows = 8\ncols = 8\nbands = 4\nm = 16\nseeds = 0\n"
+            "filter = blockls\niters = 1\ninclude_omp = true\n"
+        )
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 0
+        m_rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2:4] for r in m_rows] == [["separate", "blockls"], ["omp", "-"]]
+        band_rows = (workdir / "bench" / "mse_per_band.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2] for r in band_rows] == ["separate"] * 4
+
+    def test_omp_is_no_init_strategy_of_a_suite(self, workdir, capsys):
+        # the OMP baseline comes from include_omp; init = omp is refused per cell
+        Path("suite.txt").write_text(SUITE.replace("init = separate", "init = omp,separate"))
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"cell failed: 2d m={m} seed=0: unknown init strategy 'omp'" for m in (4, 8)]
+        rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2] for r in rows] == ["separate", "separate"]
 
     def test_suite_parsing(self, workdir):
         Path("bad.txt").write_text("unknown_key = 3\n")

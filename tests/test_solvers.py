@@ -83,7 +83,7 @@ class TestBatchedOperator:
     @pytest.mark.parametrize("slices", [solvers._DENSE_CROSS_MAX, solvers._DENSE_CROSS_MAX + 1])
     def test_cross_factor_on_both_sides_of_the_dense_limit(self, monkeypatch, slices):
         # up to the limit the cross-slice DCT is a matrix product and no
-        # transform runs; past it the transform runs
+        # DCT runs; past it one DCT along the slice axis runs per apply
         m, d0, d1 = 2, 2, 2
         phi = random_stack(13, slices, m, d0 * d1)
         joint = tr.separable3d_basis(d0, d1, slices)
@@ -92,12 +92,13 @@ class TestBatchedOperator:
         rng = np.random.default_rng(14)
         theta, w = rng.normal(size=(1, slices * d0 * d1)), rng.normal(size=(1, slices * m))
         calls = []
-        synthesize = tr.synthesize
-        monkeypatch.setattr(tr, "synthesize", lambda *a: calls.append(a) or synthesize(*a))
+        dct = solvers.dct
+        monkeypatch.setattr(solvers, "dct", lambda x, **kw: calls.append(kw) or dct(x, **kw))
         op = BatchedOperator(composed, tr.DCT)
         np.testing.assert_allclose(op.forward(theta)[0], dense @ theta[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(op.adjoint(w)[0], dense.T @ w[0], rtol=0, atol=1e-12)
-        assert len(calls) == (slices > solvers._DENSE_CROSS_MAX)
+        want = [dict(type=3, axis=0, norm="ortho"), dict(type=2, axis=0, norm="ortho")]
+        assert calls == (want if slices > solvers._DENSE_CROSS_MAX else [])
 
     def test_unknown_cross_factor_rejected(self):
         phi = random_stack(15, 3, 4, 8)
