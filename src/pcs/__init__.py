@@ -29,7 +29,6 @@ from .sensing import (
     acquire_bands_3d,
     acquire_rows_2d,
     acquire_spectral_rows_3d,
-    block_diag_apply,
     draw_sensing_matrix,
     load_measurements,
     save_measurements,
@@ -59,7 +58,6 @@ __all__ = [
     "acquire_rows_2d",
     "acquire_spectral_rows_3d",
     "analyze",
-    "block_diag_apply",
     "draw_sensing_matrix",
     "gain_db",
     "init_kcs",

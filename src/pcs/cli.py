@@ -432,7 +432,7 @@ def cmd_benchmark(args) -> int:
 
     jobs = args.jobs or int(cfg["jobs"])
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             futures = [pool.submit(_run_cell, c) for c in cells]
             outcomes = [_attempt(c, fut.result) for c, fut in zip(cells, futures)]
     else:

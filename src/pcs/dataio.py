@@ -37,7 +37,7 @@ GENERATOR_VERSION = 1
 
 _CUBE_MAGIC = b"PCS3"
 _CUBE_VERSION = 1
-_CUBE_HEADER = struct.Struct("<4sHHIII12x")
+_CUBE_HEADER = struct.Struct("<4sHHIII12s")
 
 SAMPLE_FORMATS = {"u8": 0, "u16le": 1, "f64le": 2}
 _FORMAT_NAMES = {v: k for k, v in SAMPLE_FORMATS.items()}
@@ -132,6 +132,7 @@ def save_cube(cube: Cube3D, path, sample_format: str = "f64le") -> None:
         cube.n_rows,
         cube.n_cols,
         cube.n_bands,
+        bytes(12),
     )
     arr = cube.samples.transpose(2, 0, 1)  # BSQ: band, row, col
     scale = _FORMAT_SCALE[sample_format]
@@ -154,11 +155,13 @@ def load_cube(path) -> Cube3D:
         raw = fh.read(_CUBE_HEADER.size)
         if len(raw) != _CUBE_HEADER.size:
             raise ValueError(f"{path}: truncated cube header")
-        magic, version, fmt, rows, cols, bands = _CUBE_HEADER.unpack(raw)
+        magic, version, fmt, rows, cols, bands, reserved = _CUBE_HEADER.unpack(raw)
         if magic != _CUBE_MAGIC:
             raise ValueError(f"{path}: not a cube file (bad magic {magic!r})")
         if version != _CUBE_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if any(reserved):
+            raise ValueError(f"{path}: reserved header bytes {reserved.hex()} are not zero")
         if fmt not in _FORMAT_NAMES:
             raise ValueError(f"{path}: unknown sample format {fmt}")
         header = CubeHeader(rows, cols, bands, _FORMAT_NAMES[fmt])

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.sparse.linalg import LinearOperator
 from scipy.special import ndtri
 
+from . import solvers, transforms
 from .signals import Cube3D, Image2D
 
 
@@ -211,68 +211,34 @@ def acquire_spectral_rows_3d(cube: Cube3D, ensemble: SeededSensingEnsemble) -> M
 
 # --- block-diagonal operator (Kronecker CS) ---------------------------------
 
-def block_diag_apply(ensemble: SeededSensingEnsemble, v: np.ndarray) -> np.ndarray:
-    """Apply diag(Phi^0, ..., Phi^{S-1}) to a stacked vector, blockwise."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (ensemble.num_slices * ensemble.n,):
-        raise ValueError(
-            f"vector length {v.shape} does not match {ensemble.num_slices} "
-            f"slices of length {ensemble.n}"
-        )
-    out = np.empty(ensemble.num_slices * ensemble.m)
-    for i in range(ensemble.num_slices):
-        phi = draw_sensing_matrix(ensemble, i)
-        out[i * ensemble.m : (i + 1) * ensemble.m] = phi @ v[i * ensemble.n : (i + 1) * ensemble.n]
-    return out
+class BlockDiagOperator:
+    """diag(Phi^0, ..., Phi^{S-1}) for callers outside pcs: a view of the operator
+    every l1 solve applies, solvers.BatchedOperator(stack, "identity"), over the
+    whole stack drawn once.  It has shape, dtype, matvec and rmatvec, so scipy's
+    aslinearoperator accepts it.  A stack over MATRIX_BUDGET_BYTES is refused."""
 
-
-def block_diag_adjoint(ensemble: SeededSensingEnsemble, w: np.ndarray) -> np.ndarray:
-    """Apply the transpose of the block-diagonal sensing operator."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ensemble.num_slices * ensemble.m,):
-        raise ValueError(
-            f"vector length {w.shape} does not match {ensemble.num_slices} "
-            f"slices of {ensemble.m} measurements"
-        )
-    out = np.empty(ensemble.num_slices * ensemble.n)
-    for i in range(ensemble.num_slices):
-        phi = draw_sensing_matrix(ensemble, i)
-        out[i * ensemble.n : (i + 1) * ensemble.n] = phi.T @ w[i * ensemble.m : (i + 1) * ensemble.m]
-    return out
-
-
-class BlockDiagOperator(LinearOperator):
-    """Matrix-free block-diagonal sensing operator with optional block cache.
-
-    A scipy LinearOperator view of diag(Phi^0, ..., Phi^{S-1}), for callers
-    outside pcs; the l1 solvers apply the same map through
-    solvers.BatchedOperator(phi, "identity").  Blocks are cached when the
-    whole stack fits in cache_max_bytes and regenerated per call otherwise,
-    so the full block-diagonal matrix is never formed.
-    """
-
-    def __init__(self, ensemble: SeededSensingEnsemble, cache_max_bytes: int = 1 << 27):
+    def __init__(self, ensemble: SeededSensingEnsemble):
+        s, m, n = ensemble.num_slices, ensemble.m, ensemble.n
+        if chunk_length(ensemble) < s:
+            raise ValueError(f"a stack of {s} {m} x {n} matrices exceeds {MATRIX_BUDGET_BYTES} bytes")
         self.ensemble = ensemble
-        m, n, s = ensemble.m, ensemble.n, ensemble.num_slices
-        super().__init__(dtype=np.float64, shape=(s * m, s * n))
-        self._blocks = None
-        if s * m * n * 8 <= cache_max_bytes:
-            self._blocks = draw_sensing_stack(ensemble, 0, s)
+        self.shape = (s * m, s * n)
+        self.dtype = np.dtype(np.float64)
+        self._op = solvers.BatchedOperator(draw_sensing_stack(ensemble, 0, s), transforms.IDENTITY)
 
-    def _matvec(self, v):
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        if self._blocks is None:
-            return block_diag_apply(self.ensemble, v)
-        s, m, n = self.ensemble.num_slices, self.ensemble.m, self.ensemble.n
-        return np.matmul(self._blocks, v.reshape(s, n, 1))[..., 0].reshape(s * m)
+    def matvec(self, v):
+        return self._op.forward(_stacked(v, self.shape[1])).reshape(-1)
 
-    def _rmatvec(self, w):
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        if self._blocks is None:
-            return block_diag_adjoint(self.ensemble, w)
-        s, m, n = self.ensemble.num_slices, self.ensemble.m, self.ensemble.n
-        out = np.matmul(self._blocks.transpose(0, 2, 1), w.reshape(s, m, 1))
-        return out[..., 0].reshape(s * n)
+    def rmatvec(self, w):
+        return self._op.adjoint(_stacked(w, self.shape[0])).reshape(-1)
+
+
+def _stacked(v, length: int) -> np.ndarray:
+    """v as a float64 vector of the given length; a column of it is accepted too."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape not in ((length,), (length, 1)):
+        raise ValueError(f"vector of shape {v.shape}, expected length {length}")
+    return v.reshape(-1)
 
 
 # --- measurement file format -------------------------------------------------
@@ -330,12 +296,17 @@ def load_measurements(path) -> MeasurementSet:
         if len(header) != _MEAS_HEADER.size:
             raise ValueError(f"{path}: truncated measurement header")
         (magic, version, layout, seed, m, num_slices, n,
-         rows, cols, bands, flags, _reserved) = _MEAS_HEADER.unpack(header)
+         rows, cols, bands, flags, reserved) = _MEAS_HEADER.unpack(header)
         if magic != _MEAS_MAGIC:
             raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
         if version != _MEAS_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        layout = Layout(layout)
+        if flags & ~3 or reserved:
+            raise ValueError(f"{path}: header flags {flags:#x} or reserved {reserved} not in version 1")
+        try:
+            layout = Layout(layout)
+        except ValueError:
+            raise ValueError(f"{path}: unknown layout {layout}") from None
         if layout == Layout.ROWS_2D and bands != 1:
             raise ValueError(f"{path}: header bands={bands}, a rows2d file needs bands=1")
         shape = (rows, cols) if layout == Layout.ROWS_2D else (rows, cols, bands)

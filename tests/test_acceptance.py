@@ -289,8 +289,9 @@ def test_criterion_7_invariant_suite():
     checks["sensing_linearity"] = np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     v, w = rng.random(24), rng.random(12)
-    lhs = np.dot(sensing.block_diag_apply(ens, v), w)
-    rhs = np.dot(v, sensing.block_diag_adjoint(ens, w))
+    op = sensing.BlockDiagOperator(ens)
+    lhs = np.dot(op.matvec(v), w)
+    rhs = np.dot(v, op.rmatvec(w))
     checks["adjoint_consistency"] = abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
     ref, tgt = rng.random((16, 16)), rng.random((16, 16))

@@ -1,6 +1,10 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +225,36 @@ class TestBenchmark:
         par = (workdir / "par" / "mse_vs_iter.csv").read_text().splitlines()[1:]
         assert serial == par
 
+    def test_pool_bounded_by_the_cell_count(self, workdir, monkeypatch):
+        # a process pool forks all its workers at the first submit, so the
+        # pool gets at most one worker per cell, whatever --jobs asks for;
+        # the stand-in pool records its size and runs each cell inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        Path("suite.txt").write_text(SUITE)
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "serial", "--jobs", "1"]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "pool", "--jobs", "64"]) == 0
+        assert sizes == [2]
+        for name in cli._CSV_NAMES:
+            serial = (workdir / "serial" / name).read_text().splitlines()[1:]
+            assert (workdir / "pool" / name).read_text().splitlines()[1:] == serial
+
     def test_omp_cells(self, workdir):
         Path("suite.txt").write_text(SUITE + "include_omp = true\n")
         assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 0
@@ -366,3 +400,16 @@ def test_traced_entry_points_resolve():
         if cls is not None:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr)), (module, cls, attr)
+
+
+def test_cli_import_loads_no_scipy_sparse_or_linalg():
+    # pcs needs neither at import; loading them cost every `pcs` process about
+    # 0.1 s and 10 MB RSS (median import 0.71 -> 0.61 s, RSS 64.8 -> 55.0 MB
+    # over 8 fresh interpreters, 2-core x86), so a change that needs them
+    # pays that knowingly
+    code = ("import sys, pcs.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

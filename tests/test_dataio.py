@@ -103,6 +103,16 @@ class TestCubeFiles:
         with pytest.raises(ValueError):
             load_cube(path)
 
+    def test_nonzero_reserved_bytes_refused(self, tmp_path):
+        path = tmp_path / "c.pcs3"
+        save_cube(Cube3D(np.zeros((2, 2, 2))), path)
+        data = bytearray(path.read_bytes())
+        assert data[20:32] == bytes(12)
+        data[31] = 1  # the last of the 12 reserved bytes at offset 20
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="reserved header bytes 0{22}01 are not zero"):
+            load_cube(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.pcs3"
         path.write_bytes(b"XXXX" + bytes(60))

@@ -17,13 +17,13 @@ from pcs.sensing import (
     acquire_bands_3d,
     acquire_rows_2d,
     acquire_spectral_rows_3d,
-    block_diag_adjoint,
-    block_diag_apply,
     draw_sensing_matrix,
     load_measurements,
     save_measurements,
 )
 from pcs.signals import Cube3D, Image2D
+
+from oracles import dense_block_diag
 
 dims = st.integers(1, 5)
 
@@ -223,51 +223,59 @@ class TestBlockDiag:
         ens = SeededSensingEnsemble(4, 1, 3, 7)
         v = np.random.default_rng(0).random(7)
         np.testing.assert_allclose(
-            block_diag_apply(ens, v), draw_sensing_matrix(ens, 0) @ v, atol=1e-14
+            BlockDiagOperator(ens).matvec(v), draw_sensing_matrix(ens, 0) @ v, atol=1e-14
         )
 
     def test_block_support(self):
         ens = SeededSensingEnsemble(4, 3, 2, 5)
         v = np.zeros(15)
         v[10:15] = 1.0  # segment 2 only
-        out = block_diag_apply(ens, v)
+        out = BlockDiagOperator(ens).matvec(v)
         assert np.all(out[:4] == 0) and np.any(out[4:6] != 0)
 
     def test_matches_dense_blockdiag(self):
-        from scipy.linalg import block_diag as dense_block_diag
-
         ens = SeededSensingEnsemble(6, 3, 4, 8)
-        mats = [draw_sensing_matrix(ens, i) for i in range(3)]
-        full = dense_block_diag(*mats)
+        full, op = dense_block_diag(ens), BlockDiagOperator(ens)
         v = np.random.default_rng(1).random(24)
-        np.testing.assert_allclose(block_diag_apply(ens, v), full @ v, atol=1e-12)
+        np.testing.assert_allclose(op.matvec(v), full @ v, atol=1e-12)
         w = np.random.default_rng(2).random(12)
-        np.testing.assert_allclose(block_diag_adjoint(ens, w), full.T @ w, atol=1e-12)
+        np.testing.assert_allclose(op.rmatvec(w), full.T @ w, atol=1e-12)
 
     def test_adjoint_consistency(self):
         ens = SeededSensingEnsemble(6, 3, 4, 8)
         rng = np.random.default_rng(3)
         v, w = rng.random(24), rng.random(12)
-        lhs = np.dot(block_diag_apply(ens, v), w)
-        rhs = np.dot(v, block_diag_adjoint(ens, w))
+        op = BlockDiagOperator(ens)
+        lhs = np.dot(op.matvec(v), w)
+        rhs = np.dot(v, op.rmatvec(w))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
-    def test_operator_cached_equals_uncached(self):
+    def test_scipy_view_matches_dense_and_the_budget_holds(self, monkeypatch):
+        from scipy.sparse.linalg import aslinearoperator
+
         ens = SeededSensingEnsemble(6, 3, 4, 8)
+        full, op = dense_block_diag(ens), aslinearoperator(BlockDiagOperator(ens))
         rng = np.random.default_rng(4)
-        v, w = rng.random(24), rng.random(12)
-        cached = BlockDiagOperator(ens)
-        uncached = BlockDiagOperator(ens, cache_max_bytes=0)
-        assert cached._blocks is not None and uncached._blocks is None
-        np.testing.assert_allclose(cached.matvec(v), uncached.matvec(v), atol=1e-14)
-        np.testing.assert_allclose(cached.rmatvec(w), uncached.rmatvec(w), atol=1e-14)
+        v, w, cols = rng.random(24), rng.random(12), rng.random((24, 2))
+        assert op.shape == full.shape and op.dtype == np.float64
+        np.testing.assert_allclose(op.matvec(v), full @ v, atol=1e-12)
+        np.testing.assert_allclose(op.rmatvec(w), full.T @ w, atol=1e-12)
+        np.testing.assert_allclose(op.matmat(cols), full @ cols, atol=1e-12)
+        np.testing.assert_allclose(op.rmatvec(w[:, None]), (full.T @ w)[:, None], atol=1e-12)
+        # the stack of three 4 x 8 matrices is 768 bytes: a budget of 768 holds
+        # it, one byte less refuses it
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 768)
+        BlockDiagOperator(ens)
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 767)
+        with pytest.raises(ValueError, match="exceeds 767 bytes"):
+            BlockDiagOperator(ens)
 
     def test_length_mismatch(self):
-        ens = SeededSensingEnsemble(4, 3, 2, 5)
-        with pytest.raises(ValueError):
-            block_diag_apply(ens, np.zeros(14))
-        with pytest.raises(ValueError):
-            block_diag_adjoint(ens, np.zeros(5))
+        op = BlockDiagOperator(SeededSensingEnsemble(4, 3, 2, 5))
+        with pytest.raises(ValueError, match="expected length 15"):
+            op.matvec(np.zeros(14))
+        with pytest.raises(ValueError, match="expected length 6"):
+            op.rmatvec(np.zeros(5))
 
 
 class TestMeasurementFile:
@@ -418,6 +426,20 @@ class TestMeasurementFile:
         path.write_bytes(b"NOPE" + bytes(60))
         with pytest.raises(ValueError):
             load_measurements(path)
+
+    # header offsets: layout 6 (uint16), flags 40 and reserved 44 (uint32)
+    @pytest.mark.parametrize("offset, fmt, value, match", [
+        (40, "<I", 0x80, "flags 0x80"),
+        (44, "<I", 5, "reserved 5"),
+        (6, "<H", 7, "unknown layout 7"),
+    ], ids=["flag-bit-7", "reserved-word", "layout-7"])
+    def test_header_content_version_1_does_not_define_refused(self, tmp_path, offset, fmt, value,
+                                                              match):
+        ms = acquire_rows_2d(Image2D(np.zeros((4, 8))), SeededSensingEnsemble(77, 4, 3, 8))
+        path = self._saved_then_patched(tmp_path, ms, offset, fmt, value)
+        with pytest.raises(ValueError, match=match) as refused:
+            load_measurements(path)
+        assert str(refused.value).startswith(f"{path}: ")
 
 
 def test_measurement_shape_checked():
