@@ -369,6 +369,16 @@ class TestBenchmark:
         assert cfg["cols"] == cli._SUITE_DEFAULTS["cols"]
 
 
+def test_default_profile_same_in_every_copy():
+    # the defaults are written in ReconConfig, the reconstruct flags and the
+    # suite defaults; the suite differs only in its outer-iteration count
+    args = cli.build_parser().parse_args(["reconstruct", "x", "-o", "y"])
+    assert cli._recon_config(vars(args)) == recon.ReconConfig()
+    cell = {key: kind(cli._SUITE_DEFAULTS[key]) for key, kind in cli._CELL_TYPES.items()}
+    cell.update(init=cli._SUITE_DEFAULTS["init"], filter=cli._SUITE_DEFAULTS["filter"])
+    assert cli._recon_config(cell) == recon.ReconConfig(max_outer_iters=8)
+
+
 def test_manifest_digest_stable():
     manifest = cli.RunManifest(
         command="x",

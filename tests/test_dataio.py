@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pcs.dataio import (
+    GENERATOR_VERSION,
     CubeHeader,
     CubeProfile,
     ImageProfile,
@@ -136,6 +137,28 @@ class TestCubeFiles:
         save_cube(cube, path, sample_format="u8")
         payload = path.read_bytes()[32:]
         assert payload == bytes([0, 0, 0, 0, 255, 255, 255, 255])
+
+
+# (sum, sum of squares, first sample, last sample) of synth_image(s, 128, 128)
+# and synth_cube(s, 24, 24, 12) under GENERATOR_VERSION 1; a digest of the
+# bytes would also pin the FFT build, so the pin is on moments to 1e-12
+_GENERATOR_PINS = {
+    ("image", 0): (8018.880446885169, 4120.914960304228, 0.28679783874495735, 0.35978723605167245),
+    ("image", 1): (8776.936938957419, 4929.2299110571785, 0.6118292178065317, 0.8242511062562249),
+    ("image", 2): (7431.494359662795, 3535.5272565911782, 0.6657228171219836, 0.6025986752596512),
+    ("cube", 0): (3570.529511675411, 2035.547928604469, 0.406635430276341, 0.3323514322131628),
+    ("cube", 1): (3919.834250641385, 2466.3872263521675, 0.39038657762612655, 0.5549425262526554),
+    ("cube", 2): (3350.1552279485436, 1797.3709592735986, 0.7537149106821891, 0.3416137712840506),
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(_GENERATOR_PINS))
+def test_generators_pinned_under_their_version(kind, seed):
+    assert GENERATOR_VERSION == 1, "new generator version: record its pins"
+    x = synth_image(seed, 128, 128) if kind == "image" else synth_cube(seed, 24, 24, 12)
+    a = x.samples
+    got = (a.sum(), (a * a).sum(), a.flat[0], a.flat[-1])
+    np.testing.assert_allclose(got, _GENERATOR_PINS[kind, seed], rtol=1e-12, atol=0)
 
 
 class TestSynthImage:
