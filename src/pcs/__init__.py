@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .metrics import CompressibilityConfig, mse, row_compressibility
+from .metrics import mse, row_compressibility
 from .predictors import (
     P1,
     P2,
@@ -39,7 +39,6 @@ from .transforms import SparsityBasis, analyze, synthesize
 
 __all__ = [
     "BlockLSPredictorConfig",
-    "CompressibilityConfig",
     "Cube3D",
     "Image2D",
     "Layout",

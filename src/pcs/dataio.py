@@ -7,7 +7,7 @@ with a fixed 32-byte little-endian header:
     0      4     magic "PCS3"
     4      2     version (currently 1)           uint16
     6      2     sample format: 0 u8, 1 u16le,   uint16
-                 2 f64le
+                 2 f64le (pcs writes f64le only)
     8      4     rows                            uint32
     12     4     cols                            uint32
     16     4     bands                           uint32
@@ -15,13 +15,14 @@ with a fixed 32-byte little-endian header:
     32     ...   payload, band-sequential (BSQ): bands outermost, then rows,
                  then cols
 
-Integer samples normalize to [0, 1] on load (u8 by 255, u16 by 65535; PGM by
-its stated maxval); f64 payloads pass through untouched, so save/load of
-float cubes round-trips bit-exactly.
+load_cube reads all three sample formats: integer samples normalize to
+[0, 1] on load (u8 by 255, u16 by 65535; PGM by its stated maxval), and f64
+payloads pass through untouched, so save/load of a cube round-trips
+bit-exactly.
 
 The synthetic generators substitute for hyperspectral archives that cannot be
-redistributed: parameter defaults are frozen (bump GENERATOR_VERSION when
-changing them) so downstream acceptance numbers stay stable.
+redistributed: their parameters are frozen constants (bump GENERATOR_VERSION
+when changing them) so downstream acceptance numbers stay stable.
 """
 
 import struct
@@ -34,6 +35,18 @@ from . import transforms
 from .signals import Cube3D, Image2D
 
 GENERATOR_VERSION = 1
+# synth_image: power-law 2D DCT spectrum (larger decay = smoother), rescaled
+# into [_IMAGE_LOW, _IMAGE_HIGH]
+_IMAGE_SPECTRAL_DECAY = 1.6
+_IMAGE_LOW = 0.05
+_IMAGE_HIGH = 0.95
+# synth_cube: one 2D-DCT-sparse base band, per-band affine gains/offsets
+# varying smoothly across bands, plus small sparse innovations in every band
+_CUBE_BASE_SPARSITY = 24
+_CUBE_GAIN_AMPLITUDE = 0.3
+_CUBE_OFFSET_AMPLITUDE = 0.05
+_CUBE_INNOVATION_SPARSITY = 2
+_CUBE_INNOVATION_SCALE = 0.01
 
 _CUBE_MAGIC = b"PCS3"
 _CUBE_VERSION = 1
@@ -122,28 +135,19 @@ def save_image(image: Image2D, path, maxval: int = 255) -> None:
 
 # --- raw cube files ------------------------------------------------------------
 
-def save_cube(cube: Cube3D, path, sample_format: str = "f64le") -> None:
-    if sample_format not in SAMPLE_FORMATS:
-        raise ValueError(f"unsupported sample format {sample_format!r}")
+def save_cube(cube: Cube3D, path) -> None:
+    """Write a PCS3 cube file with f64le samples."""
     header = _CUBE_HEADER.pack(
         _CUBE_MAGIC,
         _CUBE_VERSION,
-        SAMPLE_FORMATS[sample_format],
+        SAMPLE_FORMATS["f64le"],
         cube.n_rows,
         cube.n_cols,
         cube.n_bands,
         bytes(12),
     )
     arr = cube.samples.transpose(2, 0, 1)  # BSQ: band, row, col
-    scale = _FORMAT_SCALE[sample_format]
-    if sample_format == "f64le":
-        payload = arr.astype("<f8").tobytes(order="C")
-    else:
-        payload = (
-            np.clip(np.round(arr * scale), 0, scale)
-            .astype(_FORMAT_DTYPES[sample_format])
-            .tobytes(order="C")
-        )
+    payload = arr.astype("<f8").tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -193,70 +197,37 @@ def _cube_from_payload(payload: bytes, header: CubeHeader) -> Cube3D:
 
 # --- synthetic generators ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImageProfile:
-    """Natural-image-like generator: power-law 2D DCT spectrum.
-
-    spectral_decay controls smoothness (larger = smoother); the defaults are
-    frozen under GENERATOR_VERSION.
-    """
-
-    spectral_decay: float = 1.6
-    low_range: float = 0.05
-    high_range: float = 0.95
-
-
-@dataclass(frozen=True)
-class CubeProfile:
-    """Correlated-cube generator: one 2D-DCT-sparse base band, per-band affine
-    gains/offsets varying smoothly across bands, plus small sparse innovations.
-
-    With innovation_scale = 0 and gain_amplitude = offset_amplitude = 0 all
-    bands are identical.  Frozen under GENERATOR_VERSION.
-    """
-
-    base_sparsity: int = 24
-    gain_amplitude: float = 0.3
-    offset_amplitude: float = 0.05
-    innovation_sparsity: int = 2
-    innovation_scale: float = 0.01
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(Philox(key=np.array([seed % (1 << 64), stream], dtype=np.uint64)))
 
 
-def synth_image(seed: int, rows: int, cols: int, profile: ImageProfile | None = None) -> Image2D:
-    """Seeded smooth correlated image, normalized into the profile's range."""
+def synth_image(seed: int, rows: int, cols: int) -> Image2D:
+    """Seeded smooth correlated image, normalized into [0.05, 0.95]."""
     if rows < 2 or cols < 2:
         raise ValueError("need rows >= 2 and cols >= 2")
-    profile = profile or ImageProfile()
     rng = _rng(seed, 0x1A6E)
     fr = np.arange(rows)[:, None] / rows
     fc = np.arange(cols)[None, :] / cols
-    amplitude = (1.0 + 24.0 * (fr**2 + fc**2)) ** (-profile.spectral_decay)
+    amplitude = (1.0 + 24.0 * (fr**2 + fc**2)) ** (-_IMAGE_SPECTRAL_DECAY)
     coeffs = amplitude * rng.standard_normal((rows, cols))
     coeffs[0, 0] = 0.0
     basis = transforms.separable2d_basis(rows, cols)
     img = transforms.synthesize(basis, coeffs.ravel(order="F")).reshape(rows, cols, order="F")
     lo, hi = img.min(), img.max()
     span = hi - lo if hi > lo else 1.0
-    scaled = profile.low_range + (img - lo) / span * (profile.high_range - profile.low_range)
+    scaled = _IMAGE_LOW + (img - lo) / span * (_IMAGE_HIGH - _IMAGE_LOW)
     return Image2D(scaled)
 
 
-def synth_cube(
-    seed: int, rows: int, cols: int, bands: int, profile: CubeProfile | None = None
-) -> Cube3D:
+def synth_cube(seed: int, rows: int, cols: int, bands: int) -> Cube3D:
     """Seeded correlated cube with affinely related bands."""
     if rows < 2 or cols < 2 or bands < 2:
         raise ValueError("need rows, cols, bands all >= 2")
-    profile = profile or CubeProfile()
     rng = _rng(seed, 0xC0BE)
 
     # base band: sparse low-frequency-biased 2D DCT content
     n = rows * cols
-    k = min(profile.base_sparsity, n)
+    k = min(_CUBE_BASE_SPARSITY, n)
     fr = np.arange(rows)[:, None] / rows
     fc = np.arange(cols)[None, :] / cols
     weight = np.exp(-4.0 * (fr + fc)).ravel(order="F")
@@ -272,16 +243,15 @@ def synth_cube(
 
     phase = rng.uniform(0, 2 * np.pi)
     b_idx = np.arange(bands)
-    gains = 1.0 + profile.gain_amplitude * np.sin(2 * np.pi * b_idx / bands + phase)
-    offsets = profile.offset_amplitude * np.cos(2 * np.pi * b_idx / bands + phase)
+    gains = 1.0 + _CUBE_GAIN_AMPLITUDE * np.sin(2 * np.pi * b_idx / bands + phase)
+    offsets = _CUBE_OFFSET_AMPLITUDE * np.cos(2 * np.pi * b_idx / bands + phase)
 
     cube = np.empty((rows, cols, bands))
     for b in range(bands):
         band = gains[b] * base + offsets[b]
-        if profile.innovation_scale > 0 and profile.innovation_sparsity > 0:
-            inn = np.zeros(n)
-            inn_support = rng.choice(n, size=min(profile.innovation_sparsity, n), replace=False, p=weight)
-            inn[inn_support] = rng.standard_normal(len(inn_support)) * profile.innovation_scale
-            band = band + transforms.synthesize(basis, inn).reshape(rows, cols, order="F")
+        inn = np.zeros(n)
+        inn_support = rng.choice(n, size=min(_CUBE_INNOVATION_SPARSITY, n), replace=False, p=weight)
+        inn[inn_support] = rng.standard_normal(len(inn_support)) * _CUBE_INNOVATION_SCALE
+        band = band + transforms.synthesize(basis, inn).reshape(rows, cols, order="F")
         cube[:, :, b] = band
     return Cube3D(cube)

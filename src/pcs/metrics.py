@@ -1,22 +1,11 @@
 """Quality and compressibility measurements."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import transforms
-from .signals import Image2D
 
-
-@dataclass(frozen=True)
-class CompressibilityConfig:
-    """Per-row DCT threshold: theta_th = multiplier * ||theta||_1 / n_cols."""
-
-    threshold_multiplier: float = 5.0
-
-    def __post_init__(self):
-        if self.threshold_multiplier <= 0:
-            raise ValueError("threshold_multiplier must be > 0")
+# per-row DCT threshold: theta_th = _THRESHOLD_MULTIPLIER * ||theta||_1 / n_cols
+_THRESHOLD_MULTIPLIER = 5.0
 
 
 def mse(a, b) -> float:
@@ -28,19 +17,18 @@ def mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def row_compressibility(x, cfg: CompressibilityConfig | None = None) -> float:
+def row_compressibility(x) -> float:
     """Mean fraction of per-row DCT coefficients at or below the row threshold.
 
     The comparison is inclusive, so an all-zero row (threshold 0) counts as
     fully compressible.
     """
-    cfg = cfg or CompressibilityConfig()
-    arr = np.asarray(x.samples if isinstance(x, Image2D) else x, dtype=np.float64)
+    arr = np.asarray(getattr(x, "samples", x), dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"need a 2D array, got shape {arr.shape}")
     n_cols = arr.shape[1]
     basis = transforms.dct1d_basis(n_cols)
     theta = transforms.analyze(basis, arr)
-    thresholds = cfg.threshold_multiplier * np.abs(theta).sum(axis=1) / n_cols
+    thresholds = _THRESHOLD_MULTIPLIER * np.abs(theta).sum(axis=1) / n_cols
     fractions = (np.abs(theta) <= thresholds[:, None]).mean(axis=1)
     return float(fractions.mean())

@@ -83,10 +83,9 @@ class ReconReport:
     elapsed_seconds: float
     solver_warnings: list = field(default_factory=list)
 
-    def to_csv(self, path, manifest_digest: str | None = None) -> None:
+    def to_csv(self, path, manifest_digest: str) -> None:
         with open(path, "w") as fh:
-            if manifest_digest:
-                fh.write(f"# manifest={manifest_digest}\n")
+            fh.write(f"# manifest={manifest_digest}\n")
             fh.write("iteration,mse,relative_change,elapsed_seconds\n")
             for i in range(self.iterations_run + 1):
                 m = "" if self.mse_trace is None else repr(self.mse_trace[i])

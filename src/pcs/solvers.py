@@ -81,16 +81,11 @@ class SolveResult:
     l1_objective: float
     iterations: int
     converged: bool
-    # (iteration, l1 objective, residual l2) at each residual check
+    # (iteration, l1 objective, residual l2) at each check.  solve_l1 projects
+    # every candidate onto the constraints, so its residual column is
+    # gap*||y||, the distance of y from the range of A*Psi, fixed for the
+    # whole solve; solve_omp's is the residual after each added atom.
     trace: list = field(default_factory=list)
-
-
-def trace_to_csv(result: SolveResult, path) -> None:
-    """Dump a solve trace for debugging."""
-    with open(path, "w") as fh:
-        fh.write("iteration,l1_objective,residual_l2\n")
-        for it, obj, res in result.trace:
-            fh.write(f"{it},{obj!r},{res!r}\n")
 
 
 def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
@@ -329,8 +324,8 @@ def _dense_matrix(a) -> np.ndarray:
     return a
 
 
-def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: SolveConfig | None = None,
-             keep_trace: bool = True) -> SolveResult:
+def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
+             cfg: SolveConfig | None = None) -> SolveResult:
     """Recover the minimum-l1 coefficient vector consistent with y.
 
     a is the dense m x n sensing matrix; basis is the sparsity basis (None
@@ -343,7 +338,7 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray, cfg: Sol
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
-    state = _admm_batch(op, y[None, :], cfg, keep_trace)
+    state = _admm_batch(op, y[None, :], cfg, keep_trace=True)
     return SolveResult(
         theta_hat=state.theta[0],
         residual_l2=float(state.residual[0]),

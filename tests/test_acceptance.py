@@ -84,7 +84,7 @@ def test_criterion_1_solver_correctness():
     matches = 0
     for t in range(50):
         a, _, y = _planted(2000 + t, 16, 2, 10)
-        res = solvers.solve_l1(a, None, y, keep_trace=False)
+        res = solvers.solve_l1(a, None, y)
         oracle = solve_l0_bruteforce(a, y, 2)
         got = set(np.argsort(np.abs(res.theta_hat))[-2:])
         matches += got == set(np.flatnonzero(oracle.theta_hat))

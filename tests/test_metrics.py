@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pcs import transforms as tr
-from pcs.metrics import CompressibilityConfig, mse, row_compressibility
-from pcs.signals import Image2D
+from pcs.metrics import mse, row_compressibility
+from pcs.signals import Cube3D, Image2D
 
 
 class TestMSE:
@@ -51,14 +51,12 @@ class TestRowCompressibility:
         for c in (2.0, -3.5, 1e-3):
             assert row_compressibility(c * img) == pytest.approx(base, abs=1e-12)
 
-    def test_threshold_multiplier(self):
-        # a huge multiplier marks everything compressible
-        rng = np.random.default_rng(3)
-        img = rng.random((4, 16))
-        assert row_compressibility(img, CompressibilityConfig(1e9)) == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             row_compressibility(np.zeros(8))
-        with pytest.raises(ValueError):
-            CompressibilityConfig(0.0)
+
+    def test_unwraps_containers_as_mse_does(self):
+        img = np.random.default_rng(4).random((4, 8))
+        assert row_compressibility(Image2D(img)) == row_compressibility(img)
+        with pytest.raises(ValueError, match="need a 2D array"):
+            row_compressibility(Cube3D(np.zeros((4, 8, 2))))

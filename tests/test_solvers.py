@@ -13,7 +13,6 @@ from pcs.solvers import (
     solve_l1,
     solve_l1_batch,
     solve_omp,
-    trace_to_csv,
 )
 
 
@@ -441,15 +440,6 @@ class TestSolveL1:
         r2 = solve_l1(a, None, y)
         assert np.array_equal(r1.theta_hat, r2.theta_hat)
         assert r1.iterations == r2.iterations
-
-    def test_trace_csv(self, tmp_path):
-        a, _, y = planted_instance(15, 32, 3, 16)
-        res = solve_l1(a, None, y)
-        out = tmp_path / "trace.csv"
-        trace_to_csv(res, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "iteration,l1_objective,residual_l2"
-        assert len(lines) == len(res.trace) + 1
 
 
 class TestSolveOMP:
