@@ -34,7 +34,7 @@ from .sensing import (
     save_measurements,
 )
 from .signals import Cube3D, Image2D
-from .solvers import SolveConfig, SolveResult, solve_l0_bruteforce, solve_l1, solve_omp
+from .solvers import SolveConfig, SolveResult, solve_l1, solve_omp
 from .transforms import SparsityBasis, analyze, synthesize
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "reconstruct_3d",
     "row_compressibility",
     "save_measurements",
-    "solve_l0_bruteforce",
     "solve_l1",
     "solve_omp",
     "synthesize",

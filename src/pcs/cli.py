@@ -92,11 +92,6 @@ def _load_signal(path):
     raise ValueError(f"{path}: neither a P5 PGM nor a PCS3 cube file")
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 # --- synth -----------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -216,8 +211,6 @@ def cmd_reconstruct(args) -> int:
     truth = None
     if args.truth:
         truth = _for_layout(_load_signal(args.truth), ms.layout)
-        if truth.samples.shape != ms.signal_shape:
-            return _fail(f"truth shape {truth.samples.shape} does not match measurements {ms.signal_shape}")
     cube, report = _reconstruct(ms, basis, cfg, truth)
     prefix = Path(args.output)
     recon_path = prefix.with_suffix(".pcs3")
@@ -242,7 +235,10 @@ def cmd_reconstruct(args) -> int:
     )
     digest = manifest.write(prefix.with_suffix(".manifest.json"))
     dataio.save_cube(cube, recon_path)
-    report.to_csv(report_path, manifest_digest=digest)
+    rows = [[i, "" if report.mse_trace is None else repr(report.mse_trace[i]),
+             "" if i == 0 else repr(report.rel_change_trace[i]), f"{report.elapsed_trace[i]:.3f}"]
+            for i in range(report.iterations_run + 1)]
+    _write_csv(report_path, digest, ["iteration", "mse", "relative_change", "elapsed_seconds"], rows)
     final = f", final mse {report.mse_trace[-1]:.4e}" if report.mse_trace else ""
     print(f"wrote {recon_path}: {report.iterations_run} iterations, "
           f"converged={report.converged}{final}")
@@ -538,7 +534,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,9 +49,6 @@ DEFAULT_SWEEP_SOLVER = SolveConfig(
     feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=2000
 )
 
-# largest joint Kronecker system (slices x slice length) init_kcs takes on
-KCS_MAX_UNKNOWNS = 1 << 18
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -83,15 +80,6 @@ class ReconReport:
     elapsed_seconds: float
     solver_warnings: list = field(default_factory=list)
 
-    def to_csv(self, path, manifest_digest: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# manifest={manifest_digest}\n")
-            fh.write("iteration,mse,relative_change,elapsed_seconds\n")
-            for i in range(self.iterations_run + 1):
-                m = "" if self.mse_trace is None else repr(self.mse_trace[i])
-                r = "" if i == 0 else repr(self.rel_change_trace[i])
-                fh.write(f"{i},{m},{r},{self.elapsed_trace[i]:.3f}\n")
-
 
 def gain_db(mse_init: float, mse_final: float) -> float:
     """Reconstruction gain 10*log10(mse_init/mse_final), in decibels."""
@@ -109,8 +97,10 @@ class _PhiProvider:
     raw matrices is overwritten in place as it is drawn, one slice at a time,
     so no second stack is held.  The stack is drawn once per reconstruction
     when it is one chunk (sensing.chunk_length), and chunk by chunk on every
-    request otherwise.  Every l1 solve of a reconstruction runs on B, which
-    leaves the sweeps' inner iterations free of transforms and the Kronecker
+    request otherwise, when sensing.draw_sensing_stack refuses a request for
+    more than a chunk (the Kronecker initialization's whole stack) before it
+    draws.  Every l1 solve of a reconstruction runs on B, which leaves the
+    sweeps' inner iterations free of transforms and the Kronecker
     initialization with only its cross-slice factor.
     """
 
@@ -239,13 +229,11 @@ def init_kcs(
     the cross-slice factor inside the operator, and synthesizes the result
     with the joint basis.  The solve is the sweeps' ADMM, normalized by the
     joint ||y||, with the per-slice factors of B serving the joint projection.
-    Returns (signal container, [-1] when the joint solve did not converge,
-    else []).
+    The whole stack must fit in sensing.MATRIX_BUDGET_BYTES: a larger one is
+    refused with a ValueError before any matrix is drawn.  Returns (signal
+    container, [-1] when the joint solve did not converge, else []).
     """
     ens = ms.ensemble
-    unknowns = ens.num_slices * ens.n
-    if unknowns > KCS_MAX_UNKNOWNS:
-        raise ValueError(f"KCS system has {unknowns} unknowns > guard {KCS_MAX_UNKNOWNS}; crop the input")
     solver_cfg, provider = _prepare(ms, basis, solver_cfg, provider)
     cross_only = transforms.join_slice_axis(transforms.identity_basis(ens.n), ens.num_slices, transforms.DCT)
     b = provider.stack(0, ens.num_slices)
@@ -305,6 +293,19 @@ _LOOPS = {
 
 # --- engines -----------------------------------------------------------------------
 
+def _signal_like(ms: MeasurementSet, what: str, value):
+    """value (a container or an array) as a finite float64 array of ms's signal
+    shape, without a copy; None stays None."""
+    if value is None:
+        return None
+    x = np.asarray(getattr(value, "samples", value), dtype=np.float64)
+    if x.shape != ms.signal_shape:
+        raise ValueError(f"{what} of shape {x.shape} does not match the measured signal {ms.signal_shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} holds non-finite values")
+    return x
+
+
 def _run_iterations(ms, basis, cfg, initial, ground_truth):
     """Shared engine: initialize (unless given initial), then predict, correct,
     test convergence, trace.  The report clock includes the initialization."""
@@ -313,19 +314,14 @@ def _run_iterations(ms, basis, cfg, initial, ground_truth):
         raise ValueError(f"layout {ms.layout.name} needs a {filter_type.__name__} filter, "
                          f"got {type(cfg.filter).__name__}")
     basis = basis or slice_basis_for(ms)
-    if initial is not None:
-        x0 = np.array(getattr(initial, "samples", initial), dtype=np.float64)
-        if x0.shape != ms.signal_shape:
-            raise ValueError(f"initial shape {x0.shape} does not match {ms.signal_shape}")
+    x0 = _signal_like(ms, "initial", initial)
+    truth = _signal_like(ms, "ground_truth", ground_truth)
     t0 = time.perf_counter()
     provider = _PhiProvider(ms.ensemble, basis)
     if initial is None:
         x0, init_warnings = _initialize(ms, basis, cfg, provider)
     else:
         init_warnings = []
-    truth = None if ground_truth is None else np.asarray(
-        getattr(ground_truth, "samples", ground_truth), dtype=np.float64
-    )
     track_compress = truth is not None and ms.layout == Layout.ROWS_2D
 
     x = x0

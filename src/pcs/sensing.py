@@ -96,10 +96,16 @@ def draw_sensing_matrix(ensemble: SeededSensingEnsemble, i: int) -> np.ndarray:
 def draw_sensing_stack(
     ensemble: SeededSensingEnsemble, start: int, stop: int
 ) -> np.ndarray:
-    """Stack of sensing matrices for slices [start, stop), shape (stop-start, m, n)."""
+    """Stack of sensing matrices for slices [start, stop), shape (stop-start, m, n).
+
+    A stack over MATRIX_BUDGET_BYTES is refused before anything is drawn.
+    """
     if not 0 <= start <= stop <= ensemble.num_slices:
         raise IndexError(f"slice range [{start}, {stop}) out of bounds")
-    stack = np.empty((stop - start, ensemble.m, ensemble.n))
+    s, m, n = stop - start, ensemble.m, ensemble.n
+    if s * m * n * 8 > MATRIX_BUDGET_BYTES:
+        raise ValueError(f"a stack of {s} {m} x {n} matrices exceeds {MATRIX_BUDGET_BYTES} bytes")
+    stack = np.empty((s, m, n))
     for i in range(start, stop):
         stack[i - start] = draw_sensing_matrix(ensemble, i)
     return stack
@@ -111,6 +117,8 @@ class MeasurementSet:
 
     y has shape (num_slices, m); row i holds the measurements of slice i.
     signal_shape is (rows, cols) or (rows, cols, bands) of the source signal.
+    A set whose y is not finite, or whose signal_shape does not slice into
+    the ensemble's slices under layout, is refused.
     """
 
     y: np.ndarray
@@ -125,13 +133,17 @@ class MeasurementSet:
                 f"y shape {self.y.shape} does not match ensemble "
                 f"({self.ensemble.num_slices}, {self.ensemble.m})"
             )
+        _check_geometry(self.layout, self.signal_shape, self.ensemble.num_slices, self.ensemble.n)
+        if not np.isfinite(self.y).all():
+            raise ValueError("y holds non-finite values")
 
 
-# bytes of sensing matrices in one chunk, drawn at once by acquisition and by
-# each residual sweep; a reconstruction keeps its whole stack when it is one
-# chunk (the Kronecker initialization always draws the whole stack).  An
-# ensemble may claim neither one slice's matrix nor a signal above it: at most
-# 2**25 float64 samples (256 MiB), e.g. a 5792 x 5792 image
+# bytes of sensing matrices drawn at once: draw_sensing_stack refuses a larger
+# stack, so acquisition and each residual sweep draw chunk by chunk, a
+# reconstruction keeps its whole stack only when it is one chunk, and the
+# Kronecker initialization, which needs the whole stack, is refused above it.
+# An ensemble may claim neither one slice's matrix nor a signal above it: at
+# most 2**25 float64 samples (256 MiB), e.g. a 5792 x 5792 image
 MATRIX_BUDGET_BYTES = 1 << 28
 
 
@@ -166,6 +178,14 @@ def slice_geometry(layout: Layout, shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[_SLICING[layout][1]], math.prod(dims)
 
 
+def _check_geometry(layout: Layout, shape: tuple[int, ...], num_slices: int, n: int) -> None:
+    """Refuse num_slices slices of length n that a signal of this shape does not give."""
+    slices, length = slice_geometry(layout, shape)
+    if (num_slices, n) != (slices, length):
+        raise ValueError(f"num_slices={num_slices}, n={n}, but a signal of shape {tuple(shape)} "
+                         f"gives {slices} slices of length {length} under layout {layout.name}")
+
+
 def slices_of(signal: np.ndarray, layout: Layout) -> np.ndarray:
     """View the signal as a (num_slices, n) array of column-major stacked slices."""
     order = _stacking_order(layout, signal.shape)
@@ -179,11 +199,7 @@ def signal_from_slices(slices: np.ndarray, layout: Layout, shape: tuple[int, ...
 
 
 def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout) -> MeasurementSet:
-    if slice_geometry(layout, signal.shape) != (ensemble.num_slices, ensemble.n):
-        raise ValueError(
-            f"ensemble ({ensemble.num_slices} slices of length {ensemble.n}) does not "
-            f"match signal {signal.shape} acquired under layout {layout.name}"
-        )
+    _check_geometry(layout, signal.shape, ensemble.num_slices, ensemble.n)
     x = slices_of(signal, layout)
     y = np.empty((ensemble.num_slices, ensemble.m))
     step = chunk_length(ensemble)
@@ -218,11 +234,9 @@ class BlockDiagOperator:
     aslinearoperator accepts it.  A stack over MATRIX_BUDGET_BYTES is refused."""
 
     def __init__(self, ensemble: SeededSensingEnsemble):
-        s, m, n = ensemble.num_slices, ensemble.m, ensemble.n
-        if chunk_length(ensemble) < s:
-            raise ValueError(f"a stack of {s} {m} x {n} matrices exceeds {MATRIX_BUDGET_BYTES} bytes")
+        s = ensemble.num_slices
         self.ensemble = ensemble
-        self.shape = (s * m, s * n)
+        self.shape = (s * ensemble.m, s * ensemble.n)
         self.dtype = np.dtype(np.float64)
         self._op = solvers.BatchedOperator(draw_sensing_stack(ensemble, 0, s), transforms.IDENTITY)
 
@@ -310,18 +324,8 @@ def load_measurements(path) -> MeasurementSet:
         if layout == Layout.ROWS_2D and bands != 1:
             raise ValueError(f"{path}: header bands={bands}, a rows2d file needs bands=1")
         shape = (rows, cols) if layout == Layout.ROWS_2D else (rows, cols, bands)
-        slices, length = slice_geometry(layout, shape)
-        if num_slices != slices:
-            raise ValueError(
-                f"{path}: header num_slices={num_slices}, but rows={rows} cols={cols} "
-                f"bands={bands} give {slices} slices for layout {layout.name}"
-            )
-        if n != length:
-            raise ValueError(
-                f"{path}: header n={n}, but rows={rows} cols={cols} bands={bands} "
-                f"give slices of length {length} for layout {layout.name}"
-            )
         try:
+            _check_geometry(layout, shape, num_slices, n)
             ensemble = SeededSensingEnsemble(seed, num_slices, m, n, bool(flags & 1), bool(flags & 2))
         except ValueError as exc:
             raise ValueError(f"{path}: header {exc}") from None
@@ -332,6 +336,7 @@ def load_measurements(path) -> MeasurementSet:
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
     y = np.frombuffer(payload, dtype="<f8").reshape(num_slices, m).copy()
-    if not np.isfinite(y).all():
-        raise ValueError(f"{path}: payload y holds non-finite values")
-    return MeasurementSet(y, ensemble, layout, shape)
+    try:
+        return MeasurementSet(y, ensemble, layout, shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: payload {exc}") from None

@@ -24,12 +24,10 @@ Problems in a batch are solved independently: each leaves the batch at its
 own stop, with a result that does not depend on the batch.  solve_l1 and
 solve_omp take a dense matrix.
 
-solve_omp is the greedy baseline and solve_l0_bruteforce the exhaustive
-oracle for tiny instances; both exist so the convex solver can be checked
-against independent routes.
+solve_omp is the greedy baseline, an independent route to check the convex
+solver against.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -422,40 +420,3 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
         sparsity_budget is not None and len(support) == sparsity_budget
     )
     return SolveResult(theta, rnorm, float(np.abs(theta).sum()), it, converged, trace)
-
-
-def solve_l0_bruteforce(a: np.ndarray, y: np.ndarray, k: int) -> SolveResult:
-    """Exhaustive minimum-residual search over all supports of size <= k.
-
-    NP-hard by nature, so guarded to tiny instances (n <= 20, k <= 3); exists
-    purely as an oracle for the other solvers.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    m, n = a.shape
-    if y.shape[0] != m:
-        raise ValueError(f"measurement length {y.shape[0]} does not match matrix rows {m}")
-    if n > 20 or k > 3:
-        raise ValueError(f"instance too large for brute force (n={n}, k={k}; need n<=20, k<=3)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-
-    best_theta = np.zeros(n)
-    best_res = float(np.linalg.norm(y))
-    for size in range(1, k + 1):
-        for support in itertools.combinations(range(n), size):
-            sub = a[:, support]
-            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-            r = float(np.linalg.norm(y - sub @ coef))
-            if r < best_res - 1e-15:
-                best_res = r
-                best_theta = np.zeros(n)
-                best_theta[list(support)] = coef
-    return SolveResult(
-        theta_hat=best_theta,
-        residual_l2=best_res,
-        l1_objective=float(np.abs(best_theta).sum()),
-        iterations=0,
-        converged=True,
-        trace=[],
-    )

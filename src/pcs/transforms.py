@@ -59,10 +59,6 @@ def separable2d_basis(d0: int, d1: int, factors=(DCT, DCT)) -> SparsityBasis:
     return SparsityBasis((d0, d1), tuple(factors))
 
 
-def separable3d_basis(d0: int, d1: int, d2: int, factors=(DCT, DCT, DCT)) -> SparsityBasis:
-    return SparsityBasis((d0, d1, d2), tuple(factors))
-
-
 def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, str]:
     """(the per-slice basis, the cross-slice factor) of a joint basis.
 
@@ -128,16 +124,3 @@ def dct_matrix(n: int) -> np.ndarray:
     mat = np.cos(np.pi * (2 * j + 1) * k / (2 * n)) * np.sqrt(2.0 / n)
     mat[0] /= np.sqrt(2.0)
     return mat
-
-
-def dense_synthesis_matrix(basis: SparsityBasis) -> np.ndarray:
-    """Materialize the full synthesis matrix (Kronecker of the 1D factors).
-
-    Only sensible for small dims; intended for verification.
-    """
-    out = np.eye(1)
-    # slowest axis is the leftmost Kronecker factor
-    for d, f in zip(basis.dims[::-1], basis.factors[::-1]):
-        fac = np.eye(d) if f == IDENTITY else dct_matrix(d).T
-        out = np.kron(out, fac)
-    return out

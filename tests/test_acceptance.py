@@ -26,7 +26,9 @@ from pcs.predictors import P1, P2, P3, BlockLSPredictorConfig
 from pcs.recon import ReconConfig, gain_db, init_kcs, init_separate, reconstruct_2d, reconstruct_3d
 from pcs.sensing import SeededSensingEnsemble, acquire_bands_3d, acquire_rows_2d
 from pcs.signals import Image2D
-from pcs.solvers import SolveConfig, solve_l0_bruteforce, solve_l1_batch
+from pcs.solvers import SolveConfig, solve_l1_batch
+
+from oracles import solve_l0_bruteforce
 
 FULL = os.environ.get("PCS_ACCEPT_FULL") == "1"
 LENA = os.environ.get("PCS_LENA_PGM")

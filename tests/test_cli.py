@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcs import cli, dataio, recon, sensing
+from pcs import cli, dataio, metrics, recon, sensing
 from pcs.cli import main, parse_suite
 
 
@@ -103,6 +104,10 @@ class TestReconstruct:
         assert lines[0].startswith("# manifest=")
         assert lines[1] == "iteration,mse,relative_change,elapsed_seconds"
         assert len(lines) >= 4
+        # row 0 is the initialization: its MSE, no relative change, seconds
+        init, _ = recon.init_separate(sensing.load_measurements(workdir / "m.pcsm"))
+        mse0 = metrics.mse(init, dataio.load_image(img))
+        assert re.fullmatch(rf"0,{re.escape(repr(mse0))},,\d+\.\d{{3}}", lines[2])
         cube = dataio.load_cube(workdir / "rec.pcs3")
         assert cube.samples.shape == (24, 24, 1)
 
@@ -132,6 +137,15 @@ class TestReconstruct:
         main(["acquire", str(img), "-m", "8", "-o", "m.pcsm"])
         assert main(["reconstruct", "m.pcsm", "--truth", str(other), "-o", "rec"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_kcs_stack_over_the_matrix_budget_refused(self, workdir, monkeypatch, capsys):
+        # a budget of the 24x24 signal's bytes holds 3 of the 24 8 x 24 matrices
+        img = _synth_image(workdir, rows=24, cols=24)
+        main(["acquire", str(img), "-m", "8", "-o", "m.pcsm"])
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 24 * 24 * 8)
+        assert main(["reconstruct", "m.pcsm", "--init", "kcs", "-o", "rec"]) == 2
+        assert "error: a stack of 24 8 x 24 matrices exceeds 4608 bytes" in capsys.readouterr().err
+        assert not (workdir / "rec.pcs3").exists()
 
     def test_missing_input(self, workdir, capsys):
         assert main(["reconstruct", "nope.pcsm", "-o", "rec"]) == 2

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pcs.sensing import Layout, SeededSensingEnsemble, acquire_bands_3d, acquire
 from pcs.signals import Cube3D, Image2D
 from pcs.solvers import SolveConfig
 
-from oracles import dense_block_diag
+from oracles import dense_block_diag, dense_synthesis_matrix, separable3d_basis, solve_l0_bruteforce
 
 TIGHT = SolveConfig(feasibility_tol=1e-9, objective_tol=1e-10, max_solver_iters=20000)
 
@@ -75,7 +76,7 @@ class TestInitSeparate:
         rec, _ = init_separate(ms, transforms.identity_basis(16), TIGHT)
         for i in range(8):
             phi = sensing.draw_sensing_matrix(ens, i)
-            oracle = solvers.solve_l0_bruteforce(phi, ms.y[i], 2)
+            oracle = solve_l0_bruteforce(phi, ms.y[i], 2)
             got = set(np.argsort(np.abs(rec.samples[i]))[-2:])
             assert got == set(np.flatnonzero(oracle.theta_hat))
 
@@ -119,11 +120,17 @@ class TestInitKCS:
         assert wins >= 4
 
     def test_size_guard(self, monkeypatch):
+        # the joint solve needs the whole stack at once: over the matrix budget
+        # it is refused before one matrix is drawn
         ens = SeededSensingEnsemble(0, 4, 3, 8)
         ms = acquire_rows_2d(Image2D(np.zeros((4, 8))), ens)
-        monkeypatch.setattr(recon, "KCS_MAX_UNKNOWNS", 16)
-        with pytest.raises(ValueError, match="32 unknowns > guard 16"):
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", 3 * 3 * 8 * 8)
+        draws = []
+        draw = sensing.draw_sensing_matrix
+        monkeypatch.setattr(sensing, "draw_sensing_matrix", lambda *a: draws.append(a) or draw(*a))
+        with pytest.raises(ValueError, match="a stack of 4 3 x 8 matrices exceeds 576 bytes"):
             init_kcs(ms)
+        assert draws == []
 
     @pytest.mark.parametrize("acquire, scene, ens", [
         (acquire_rows_2d, lambda: dataio.synth_image(70, 8, 16), SeededSensingEnsemble(71, 8, 6, 16)),
@@ -153,7 +160,7 @@ class TestInitKCS:
         cube = dataio.synth_cube(76, 4, 4, 3)
         ms = acquire_bands_3d(cube, SeededSensingEnsemble(77, 3, 8, 16))
         # init_kcs takes the slice basis and joins the slice axis itself
-        for joint in (transforms.dct1d_basis(48), transforms.separable3d_basis(3, 4, 4)):
+        for joint in (transforms.dct1d_basis(48), separable3d_basis(3, 4, 4)):
             with pytest.raises(ValueError, match="basis size"):
                 init_kcs(ms, joint)
 
@@ -241,18 +248,6 @@ class TestReconstruct2D:
         assert len(report.elapsed_trace) == n
         assert len(report.compressibility_trace) == n
 
-    def test_report_csv(self, tmp_path):
-        img = dataio.synth_image(23, 12, 12)
-        ens = SeededSensingEnsemble(24, 12, 5, 12)
-        ms = acquire_rows_2d(img, ens)
-        _, report = reconstruct_2d(ms, None, ReconConfig(max_outer_iters=2), ground_truth=img)
-        out = tmp_path / "report.csv"
-        report.to_csv(out, manifest_digest="abc123")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# manifest=abc123"
-        assert lines[1] == "iteration,mse,relative_change,elapsed_seconds"
-        assert len(lines) == report.iterations_run + 3
-
     def test_report_clock_includes_initialization(self, monkeypatch):
         img = dataio.synth_image(23, 12, 12)
         ms = acquire_rows_2d(img, SeededSensingEnsemble(24, 12, 5, 12))
@@ -298,6 +293,25 @@ class TestReconstruct2D:
             engine(ms, cfg=ReconConfig(filter=wrong))
         with pytest.raises(ValueError):
             other(ms)
+
+
+@pytest.mark.parametrize("what", ["nan-initial", "nan-truth", "wrong-shape-truth"])
+def test_bad_initial_or_truth_refused_before_any_solve(monkeypatch, what):
+    img = dataio.synth_image(31, 8, 8)
+    ms = acquire_rows_2d(img, SeededSensingEnsemble(32, 8, 4, 8))
+    bad = img.samples.copy()
+    bad[2, 3] = np.nan
+    kwargs, message = {
+        "nan-initial": ({"initial": bad}, "initial holds non-finite values"),
+        "nan-truth": ({"ground_truth": bad}, "ground_truth holds non-finite values"),
+        "wrong-shape-truth": ({"ground_truth": img.samples[:6]}, "ground_truth of shape \\(6, 8\\)"),
+    }[what]
+    solves = []
+    solve = solvers.solve_l1_batch
+    monkeypatch.setattr(solvers, "solve_l1_batch", lambda *a: solves.append(a) or solve(*a))
+    with pytest.raises(ValueError, match=message):
+        reconstruct_2d(ms, None, ReconConfig(max_outer_iters=1), **kwargs)
+    assert solves == []
 
 
 class TestReconstruct3D:
@@ -446,14 +460,17 @@ class TestMatrixCache:
         assert np.array_equal(a.samples, b.samples)
         assert ra.mse_trace == rb.mse_trace
 
-    def test_kcs_3d_redraw_is_bit_identical(self, monkeypatch):
+    def test_blockls_3d_redraw_is_bit_identical(self, monkeypatch):
         cube = dataio.synth_cube(52, 8, 8, 4)
         ms = acquire_bands_3d(cube, SeededSensingEnsemble(53, 4, 24, 64))
-        cfg = ReconConfig(init=recon.INIT_KCS, filter=BlockLSPredictorConfig(), max_outer_iters=2)
+        cfg = ReconConfig(filter=BlockLSPredictorConfig(), max_outer_iters=2)
         (a, ra), (b, rb) = self._both(monkeypatch, ms.ensemble,
                                       lambda: reconstruct_3d(ms, None, cfg, ground_truth=cube))
         assert np.array_equal(a.samples, b.samples)
         assert ra.mse_trace == rb.mse_trace
+        # the Kronecker initialization needs the whole stack at once
+        with pytest.raises(ValueError, match="a stack of 4 24 x 64 matrices exceeds"):
+            reconstruct_3d(ms, None, replace(cfg, init=recon.INIT_KCS), ground_truth=cube)
 
 
 class TestComposedProvider:
@@ -465,18 +482,23 @@ class TestComposedProvider:
         ms = acquire_rows_2d(img, SeededSensingEnsemble(61, 12, 6, 16))
         return img, ms, recon._PhiProvider(ms.ensemble, slice_basis_for(ms))
 
-    @pytest.mark.parametrize("budget", [sensing.MATRIX_BUDGET_BYTES, 0])
+    @pytest.mark.parametrize("budget", [sensing.MATRIX_BUDGET_BYTES, 6 * 16 * 8])
     def test_compose_analyzes_every_row(self, monkeypatch, budget):
-        # a zero budget puts every slice in a chunk of its own: not cached
+        # a budget of one slice's bytes puts every slice in a chunk of its own:
+        # not cached, and no request may span more than one slice
         _, ms, _ = self._scene()
         basis = slice_basis_for(ms)
-        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
-        provider = recon._PhiProvider(ms.ensemble, basis)
-        assert (provider._full is None) == (sensing.chunk_length(ms.ensemble) < 12)
         phi = sensing.draw_sensing_stack(ms.ensemble, 0, 12)
         want = transforms.analyze(basis, phi.reshape(-1, 16)).reshape(phi.shape)
-        np.testing.assert_allclose(provider.stack(0, 12), want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(provider.stack(3, 7), want[3:7], rtol=0, atol=1e-12)
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
+        provider = recon._PhiProvider(ms.ensemble, basis)
+        step = sensing.chunk_length(ms.ensemble)
+        assert (provider._full is None) == (step < 12)
+        for i0, i1 in [(i0, min(i0 + step, 12)) for i0 in range(0, 12, step)] + [(3, min(7, 3 + step))]:
+            np.testing.assert_allclose(provider.stack(i0, i1), want[i0:i1], rtol=0, atol=1e-12)
+        if step < 12:
+            with pytest.raises(ValueError, match="exceeds"):
+                provider.stack(0, 12)
 
     def test_provider_refuses_another_slice_basis(self):
         _, ms, provider = self._scene()
@@ -541,7 +563,7 @@ class TestKCSBasis:
         stacked = sensing.slices_of(cube.samples, ms.layout).reshape(-1)
         theta = transforms.analyze(joint, stacked)
         np.testing.assert_allclose(transforms.synthesize(joint, theta), stacked, atol=1e-10)
-        dense = transforms.dense_synthesis_matrix(joint)
+        dense = dense_synthesis_matrix(joint)
         np.testing.assert_allclose(dense @ theta, stacked, atol=1e-10)
 
     def test_rows2d_joint_basis_consistent(self):
@@ -551,7 +573,7 @@ class TestKCSBasis:
         joint = joint_basis(ms)
         stacked = img.samples.reshape(-1)  # row-major stack = per-row slices
         theta = transforms.analyze(joint, stacked)
-        dense = transforms.dense_synthesis_matrix(joint)
+        dense = dense_synthesis_matrix(joint)
         np.testing.assert_allclose(dense @ theta, stacked, atol=1e-10)
         y = dense_block_diag(ens) @ stacked
         np.testing.assert_allclose(y, ms.y.reshape(-1), atol=1e-10)

@@ -446,3 +446,49 @@ def test_measurement_shape_checked():
     ens = SeededSensingEnsemble(0, 4, 3, 8)
     with pytest.raises(ValueError):
         MeasurementSet(np.zeros((4, 2)), ens, Layout.ROWS_2D, (4, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=layouts_and_shapes(), data=st.data())
+def test_measurement_set_holds_exactly_the_geometry_of_its_signal(case, data):
+    layout, shape = case
+    slices, length = slice_count_and_length(layout, shape)
+    num_slices = data.draw(st.one_of(st.just(slices), st.integers(1, 30)))
+    n = data.draw(st.one_of(st.just(length), st.integers(1, 30)))
+    ens = SeededSensingEnsemble(0, num_slices, 1, n, non_compressive=True)
+    y = np.ones((num_slices, 1))
+    if (num_slices, n) == (slices, length):
+        assert MeasurementSet(y, ens, layout, shape).signal_shape == shape
+    else:
+        with pytest.raises(ValueError, match=f"num_slices={num_slices}, n={n}, but"):
+            MeasurementSet(y, ens, layout, shape)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_measurement_set_refuses_non_finite_y(value):
+    y = np.ones((4, 3))
+    y[1, 2] = value
+    with pytest.raises(ValueError, match="y holds non-finite values"):
+        MeasurementSet(y, SeededSensingEnsemble(0, 4, 3, 8), Layout.ROWS_2D, (4, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), slices=st.integers(1, 8), m=st.integers(1, 4), n=st.integers(5, 8),
+       budget_slices=st.integers(0, 9), offset=st.integers(-8, 8))
+def test_stack_over_the_budget_refused_before_any_draw(data, slices, m, n, budget_slices, offset):
+    ens = SeededSensingEnsemble(3, slices, m, n)
+    start = data.draw(st.integers(0, slices))
+    stop = data.draw(st.integers(start, slices))
+    budget = max(0, budget_slices * m * n * 8 + offset)
+    draws = []
+    draw = sensing.draw_sensing_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
+        mp.setattr(sensing, "draw_sensing_matrix", lambda ens, i: draws.append(i) or draw(ens, i))
+        if (stop - start) * m * n * 8 > budget:
+            with pytest.raises(ValueError, match=f"a stack of {stop - start} {m} x {n} matrices exceeds {budget} bytes"):
+                sensing.draw_sensing_stack(ens, start, stop)
+            assert draws == []
+        else:
+            stack = sensing.draw_sensing_stack(ens, start, stop)
+            assert stack.shape == (stop - start, m, n) and draws == list(range(start, stop))

@@ -9,11 +9,12 @@ from pcs import transforms as tr
 from pcs.solvers import (
     BatchedOperator,
     SolveConfig,
-    solve_l0_bruteforce,
     solve_l1,
     solve_l1_batch,
     solve_omp,
 )
+
+from oracles import dense_synthesis_matrix, separable3d_basis, solve_l0_bruteforce
 
 
 def planted_instance(seed, n, k, m):
@@ -68,11 +69,11 @@ class TestBatchedOperator:
     def test_composed_stack_with_cross_factor_only_matches_raw(self, seed, slices, m, d0, d1, factors):
         # blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I)
         phi = random_stack(seed, slices, m, d0 * d1)
-        joint = tr.separable3d_basis(d0, d1, slices, factors)
+        joint = separable3d_basis(d0, d1, slices, factors)
         composed, cross = solvers._compose(phi, joint)
         assert cross == factors[2]
         op = BatchedOperator(composed, cross)
-        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        dense = block_diag(*phi) @ dense_synthesis_matrix(joint)
         rng = np.random.default_rng(seed + 1)
         theta = rng.normal(size=(1, op.n))
         w = rng.normal(size=(1, op.m))
@@ -85,9 +86,9 @@ class TestBatchedOperator:
         # DCT runs; past it one DCT along the slice axis runs per apply
         m, d0, d1 = 2, 2, 2
         phi = random_stack(13, slices, m, d0 * d1)
-        joint = tr.separable3d_basis(d0, d1, slices)
+        joint = separable3d_basis(d0, d1, slices)
         composed = tr.analyze(tr.separable2d_basis(d0, d1), phi)
-        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        dense = block_diag(*phi) @ dense_synthesis_matrix(joint)
         rng = np.random.default_rng(14)
         theta, w = rng.normal(size=(1, slices * d0 * d1)), rng.normal(size=(1, slices * m))
         calls = []
@@ -101,13 +102,13 @@ class TestBatchedOperator:
 
     def test_unknown_cross_factor_rejected(self):
         phi = random_stack(15, 3, 4, 8)
-        for cross in ("wavelet", tr.separable3d_basis(2, 4, 3)):
+        for cross in ("wavelet", separable3d_basis(2, 4, 3)):
             with pytest.raises(ValueError, match="cross-slice factor"):
                 BatchedOperator(phi, cross)
 
     def test_joint_basis_without_the_slice_axis_last_rejected(self):
         phi = random_stack(12, 3, 4, 8)
-        for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), tr.separable3d_basis(3, 2, 4)):
+        for basis in (tr.dct1d_basis(24), tr.separable2d_basis(3, 8), separable3d_basis(3, 2, 4)):
             with pytest.raises(ValueError, match="slice axis last"):
                 solve_l1_batch(phi, basis, np.ones((1, 12)))
 
@@ -140,10 +141,10 @@ class TestBatchedOperator:
         # transform past it), checked on the materialized Kronecker matrix
         rng = np.random.default_rng(seed)
         phi = random_stack(seed, slices, 2, 2 * d0)
-        joint = tr.separable3d_basis(d0, 2, slices)
+        joint = separable3d_basis(d0, 2, slices)
         theta = np.zeros(slices * 2 * d0)
         theta[rng.choice(theta.size, slices // 4, replace=False)] = rng.normal(size=slices // 4)
-        dense = block_diag(*phi) @ tr.dense_synthesis_matrix(joint)
+        dense = block_diag(*phi) @ dense_synthesis_matrix(joint)
         y = dense @ theta
         cfg = SolveConfig()
         state = solve_l1_batch(phi, joint, y[None], cfg)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pcs import transforms as tr
 
+from oracles import dense_synthesis_matrix, separable3d_basis
+
 
 def seeded(seed):
     return np.random.default_rng(seed)
@@ -56,8 +58,8 @@ class TestDCT1D:
         lambda: tr.separable2d_basis(4, 4),
         lambda: tr.separable2d_basis(16, 64),
         lambda: tr.separable2d_basis(8, 5, factors=(tr.DCT, tr.IDENTITY)),
-        lambda: tr.separable3d_basis(4, 6, 3),
-        lambda: tr.separable3d_basis(8, 8, 8),
+        lambda: separable3d_basis(4, 6, 3),
+        lambda: separable3d_basis(8, 8, 8),
     ],
 )
 class TestOrthonormality:
@@ -88,7 +90,7 @@ def test_separable_round_trip_and_parseval_property(axes, seed, batch):
 
 
 def test_split_slice_axis():
-    per_slice, cross = tr.split_slice_axis(tr.separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6)
+    per_slice, cross = tr.split_slice_axis(separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6)
     assert per_slice == tr.separable2d_basis(4, 5, (tr.IDENTITY, tr.DCT)) and cross == tr.DCT
     assert tr.split_slice_axis(tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3) == \
         (tr.dct1d_basis(7), tr.IDENTITY)
@@ -98,13 +100,13 @@ def test_split_slice_axis():
 
 
 def test_join_slice_axis_inverts_split():
-    for joint, slices in ((tr.separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6),
+    for joint, slices in ((separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6),
                           (tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3),
                           (tr.separable2d_basis(2, 9, (tr.IDENTITY, tr.DCT)), 9)):
         per_slice, cross = tr.split_slice_axis(joint, slices)
         assert tr.join_slice_axis(per_slice, slices, cross) == joint
     # a slice basis of three axes makes a joint basis of four
-    slice_basis = tr.separable3d_basis(2, 3, 4, (tr.DCT, tr.IDENTITY, tr.DCT))
+    slice_basis = separable3d_basis(2, 3, 4, (tr.DCT, tr.IDENTITY, tr.DCT))
     joint = tr.join_slice_axis(slice_basis, 5, tr.DCT)
     assert joint.dims == (2, 3, 4, 5) and joint.size == 120
     assert tr.split_slice_axis(joint, 5) == (slice_basis, tr.DCT)
@@ -116,14 +118,14 @@ def test_join_slice_axis_inverts_split():
         tr.separable2d_basis(4, 4),
         tr.separable2d_basis(8, 3),
         tr.separable2d_basis(5, 7, factors=(tr.IDENTITY, tr.DCT)),
-        tr.separable3d_basis(2, 3, 4),
-        tr.separable3d_basis(8, 8, 8),
-        tr.separable3d_basis(4, 2, 8),
+        separable3d_basis(2, 3, 4),
+        separable3d_basis(8, 8, 8),
+        separable3d_basis(4, 2, 8),
     ],
 )
 def test_separable_matches_dense_kronecker(basis):
     rng = seeded(4)
-    psi = tr.dense_synthesis_matrix(basis)
+    psi = dense_synthesis_matrix(basis)
     theta = rng.normal(size=basis.size)
     np.testing.assert_allclose(tr.synthesize(basis, theta), psi @ theta, atol=1e-12)
     x = rng.normal(size=basis.size)
