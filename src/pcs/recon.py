@@ -235,9 +235,8 @@ def init_kcs(
     """
     ens = ms.ensemble
     solver_cfg, provider = _prepare(ms, basis, solver_cfg, provider)
-    cross_only = transforms.join_slice_axis(transforms.identity_basis(ens.n), ens.num_slices, transforms.DCT)
     b = provider.stack(0, ens.num_slices)
-    state = solvers.solve_l1_batch(b, cross_only, ms.y.reshape(1, -1), solver_cfg)
+    state = solvers.solve_l1_batch(b, transforms.DCT, ms.y.reshape(1, -1), solver_cfg)
     joint = transforms.join_slice_axis(provider.basis, ens.num_slices, transforms.DCT)
     slices = transforms.synthesize(joint, state.theta).reshape(ens.num_slices, ens.n)
     signal = sensing.signal_from_slices(slices, ms.layout, ms.signal_shape)

@@ -111,14 +111,16 @@ def draw_sensing_stack(
     return stack
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementSet:
     """Per-slice measurements plus everything needed to re-derive each matrix.
 
     y has shape (num_slices, m); row i holds the measurements of slice i.
     signal_shape is (rows, cols) or (rows, cols, bands) of the source signal.
     A set whose y is not finite, or whose signal_shape does not slice into
-    the ensemble's slices under layout, is refused.
+    the ensemble's slices under layout, is refused.  The set is frozen and
+    holds its own read-only copy of y, so the values checked here are the
+    values every later solve reads.
     """
 
     y: np.ndarray
@@ -127,7 +129,9 @@ class MeasurementSet:
     signal_shape: tuple[int, ...]
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
         if self.y.shape != (self.ensemble.num_slices, self.ensemble.m):
             raise ValueError(
                 f"y shape {self.y.shape} does not match ensemble "
@@ -335,7 +339,7 @@ def load_measurements(path) -> MeasurementSet:
         raise ValueError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
-    y = np.frombuffer(payload, dtype="<f8").reshape(num_slices, m).copy()
+    y = np.frombuffer(payload, dtype="<f8").reshape(num_slices, m)
     try:
         return MeasurementSet(y, ensemble, layout, shape)
     except ValueError as exc:

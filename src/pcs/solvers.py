@@ -5,12 +5,13 @@ solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y: basis pursuit
 runs one algorithm, ADMM on the exact projection onto its constraints
 (_admm_batch), over one operator, BatchedOperator: a stack of per-slice
 matrices that poses either independent per-slice problems or one joint
-Kronecker problem.  A basis given to solve_l1 or solve_l1_batch is composed
-into the matrices first (_compose: row k of A*Psi is the analysis transform
-of row k of A); of a joint basis only the per-slice part is, and the
-cross-slice factor stays inside the operator.  The reconstruction composes
-its stack itself as it draws it, and passes basis None to the sweeps and a
-joint basis with identity per-slice factors to the Kronecker initialization.
+Kronecker problem.  solve_l1_batch takes the operator's own arguments, the
+stack and a cross-slice factor; a per-slice basis is the caller's to compose
+into the stack (row k of Phi_s*Psi is the analysis transform of row k of
+Phi_s).  The reconstruction composes its stack as it draws it, and passes no
+cross-slice factor to the sweeps and the cross-slice DCT to the Kronecker
+initialization.  solve_l1 and solve_omp take a dense matrix and a basis,
+which they compose into it (_composed).
 
 Each slice's rows are factored once per call: an eigendecomposition of the
 m x m Gram matrix, whose eigenvalues at or below its rounding level,
@@ -21,8 +22,7 @@ m >= n of full rank the projection is the least-squares point, so it is
 ADMM's first candidate and the solve stops at its first check with it:
 converged when the system is consistent, not converged when it is not.
 Problems in a batch are solved independently: each leaves the batch at its
-own stop, with a result that does not depend on the batch.  solve_l1 and
-solve_omp take a dense matrix.
+own stop, with a result that does not depend on the batch.
 
 solve_omp is the greedy baseline, an independent route to check the convex
 solver against.
@@ -98,9 +98,10 @@ class BatchedOperator:
     cross-slice factor ("identity" or "dct") makes one problem (Kronecker CS)
     in the joint basis Psi_cross (x) I: forward synthesizes the stacked
     vector (1, S*n) across slices, applies each slice's matrix to its segment
-    and returns (1, S*m).  A per-slice basis belongs in the matrices, since
-    blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) = blockdiag(Phi_s*Psi_slice)*
-    (Psi_cross (x) I) (_compose).  A cross-slice DCT over at most
+    and returns (1, S*m).  A per-slice basis belongs in the matrices, composed
+    by the caller, since blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
+    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A phi that is not 3-D, or
+    another cross-slice factor, is refused.  A cross-slice DCT over at most
     _DENSE_CROSS_MAX slices is applied as one S x S matrix product on the
     (S, n) array of segments; over more slices the S^2*n product costs more
     than a DCT along the slice axis of that array, which then runs instead.
@@ -108,6 +109,9 @@ class BatchedOperator:
 
     def __init__(self, phi: np.ndarray, cross: str | None = None):
         self.phi = np.asarray(phi, dtype=np.float64)
+        if self.phi.ndim != 3:
+            raise ValueError(f"phi must be a 3-D stack (S, m, n) of sensing matrices, "
+                             f"got shape {self.phi.shape}")
         self.cross = cross
         slices, m, n = self.phi.shape
         self._dense = None
@@ -144,30 +148,6 @@ class BatchedOperator:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         slices, m, _ = self.phi.shape
         return self.analyze(np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0])
-
-
-def _compose(phi: np.ndarray, basis: SparsityBasis | None):
-    """(phi with the per-slice part of basis composed in, the cross-slice factor or None).
-
-    A basis of the slice length n is composed whole and leaves None; a joint
-    basis over the S slices of phi (slice axis last) is the one place a joint
-    basis is split, and leaves its cross-slice factor to the operator.  Row k
-    of Phi_s*Psi is the analysis transform of row k of Phi_s; an identity
-    part leaves phi as it is.
-    """
-    if basis is None:
-        return phi, None
-    slices, _, n = phi.shape
-    if basis.size == n:
-        part, cross = basis, None
-    elif basis.size == slices * n:
-        part, cross = transforms.split_slice_axis(basis, slices)
-    else:
-        raise ValueError(f"basis size {basis.size} matches neither n={n} "
-                         f"nor {slices} slices of n ({slices * n})")
-    if all(f == transforms.IDENTITY for f in part.factors):
-        return phi, cross
-    return transforms.analyze(part, phi), cross
 
 
 @dataclass
@@ -315,11 +295,12 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                            iterations=iterations, converged=stopped & (residual <= bound), traces=traces)
 
 
-def _dense_matrix(a) -> np.ndarray:
+def _composed(a, basis: SparsityBasis | None) -> np.ndarray:
+    """The dense matrix a*Psi: row k of it is the analysis transform of row k of a."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"sensing matrix must be 2-D, got shape {a.shape}")
-    return a
+    return a if basis is None else transforms.analyze(basis, a)
 
 
 def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
@@ -327,12 +308,12 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     """Recover the minimum-l1 coefficient vector consistent with y.
 
     a is the dense m x n sensing matrix; basis is the sparsity basis (None
-    means identity), composed into a before the solve.  Returns the best
-    feasible iterate encountered; converged=False flags a solve that did not
-    finish within max_solver_iters (see SolveConfig).
+    means identity), of size n, composed into a before the solve (_composed).
+    Returns the best feasible iterate encountered; converged=False flags a
+    solve that did not finish within max_solver_iters (see SolveConfig).
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(*_compose(_dense_matrix(a)[None], basis))
+    op = BatchedOperator(_composed(a, basis)[None])
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != op.m:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
@@ -347,19 +328,19 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     )
 
 
-def solve_l1_batch(phi: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
+def solve_l1_batch(phi: np.ndarray, cross: str | None, y: np.ndarray,
                    cfg: SolveConfig | None = None) -> BatchSolveState:
     """Vectorized solve over a stack of sensing matrices (see BatchedOperator).
 
-    phi: (S, m, n) stack of sensing matrices.  With a per-slice basis (size n
-    or None) y is (S, m) and the S problems are independent; the
-    reconstruction sweeps use this, where every row/band poses the same sized
-    problem.  With a joint basis (size S*n, slice axis last) y is (1, S*m)
-    and the result is one joint problem, as in the Kronecker initialization.
-    The basis's per-slice part is composed into a copy of phi (_compose).
+    phi: (S, m, n) stack of sensing matrices, each already composed with the
+    per-slice basis.  With cross None y is (S, m) and the S problems are
+    independent; the reconstruction sweeps use this, where every row/band
+    poses the same sized problem.  With a cross-slice factor ("identity" or
+    "dct") y is (1, S*m) and the result is one joint problem in the basis
+    Psi_cross (x) I, as in the Kronecker initialization.
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(*_compose(np.asarray(phi, dtype=np.float64), basis))
+    op = BatchedOperator(phi, cross)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")
@@ -374,7 +355,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     atom norm), then a least-squares refit over the active set.  Stops after
     sparsity_budget atoms or once the residual drops below residual_tol*||y||.
     The composed dictionary A*Psi is materialized from the dense sensing
-    matrix a as for solve_l1 (_compose).
+    matrix a and basis as for solve_l1 (_composed).
     """
     if sparsity_budget is None and residual_tol is None:
         raise ValueError("need sparsity_budget or residual_tol")
@@ -383,7 +364,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     if residual_tol is not None and residual_tol <= 0:
         raise ValueError("residual_tol must be > 0")
 
-    dictionary = _compose(_dense_matrix(a)[None], basis)[0][0]
+    dictionary = _composed(a, basis)
     m, n = dictionary.shape
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != m:

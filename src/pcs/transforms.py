@@ -59,21 +59,9 @@ def separable2d_basis(d0: int, d1: int, factors=(DCT, DCT)) -> SparsityBasis:
     return SparsityBasis((d0, d1), tuple(factors))
 
 
-def split_slice_axis(basis: SparsityBasis, slices: int) -> tuple[SparsityBasis, str]:
-    """(the per-slice basis, the cross-slice factor) of a joint basis.
-
-    A joint basis over stacked slices puts the slice axis last, so it is the
-    Kronecker product of that axis's factor (across slices) with the basis
-    over the leading axes (within a slice).  Any other basis is refused.
-    """
-    if len(basis.dims) < 2 or basis.dims[-1] != slices:
-        raise ValueError(f"a joint basis needs the slice axis last: dims {basis.dims} "
-                         f"do not end with {slices} slices")
-    return SparsityBasis(basis.dims[:-1], basis.factors[:-1]), basis.factors[-1]
-
-
 def join_slice_axis(slice_basis: SparsityBasis, slices: int, cross: str) -> SparsityBasis:
-    """The joint basis over slices stacked slices; inverse of split_slice_axis."""
+    """The joint basis Psi_cross (x) slice_basis over slices stacked slices:
+    the slice axis is joined last, with the cross-slice factor cross."""
     return SparsityBasis(slice_basis.dims + (slices,), slice_basis.factors + (cross,))
 
 

@@ -140,21 +140,21 @@ class TestInitKCS:
     ], ids=["rows2d", "bands3d", "spectral_rows3d"])
     def test_matches_the_joint_solve_on_raw_matrices(self, monkeypatch, acquire, scene, ens):
         # the composed stack with only the cross-slice factor inside the
-        # operator poses the same problem as the raw stack with the full basis
+        # operator poses the same problem as the materialized block-diagonal
+        # raw matrix with the full joint basis, solved as one dense problem
         ms = acquire(scene(), ens)
         joint = joint_basis(ms)
-        raw = solvers.solve_l1_batch(sensing.draw_sensing_stack(ens, 0, ens.num_slices), joint,
-                                     ms.y.reshape(1, -1), recon.DEFAULT_SWEEP_SOLVER)
+        raw = solvers.solve_l1(dense_block_diag(ens), joint, ms.y.reshape(-1), recon.DEFAULT_SWEEP_SOLVER)
         want = sensing.signal_from_slices(
-            transforms.synthesize(joint, raw.theta).reshape(ens.num_slices, ens.n), ms.layout,
+            transforms.synthesize(joint, raw.theta_hat).reshape(ens.num_slices, ens.n), ms.layout,
             ms.signal_shape)
         states = []
         solve = solvers.solve_l1_batch
         monkeypatch.setattr(solvers, "solve_l1_batch", lambda *a: states.append(solve(*a)) or states[-1])
         rec, unconverged = init_kcs(ms)
         assert np.linalg.norm(rec.samples - want) <= 1e-10 * np.linalg.norm(want)
-        assert states[0].iterations[0] == raw.iterations[0]
-        assert (unconverged == []) == states[0].converged[0] == raw.converged[0]
+        assert states[0].iterations[0] == raw.iterations
+        assert (unconverged == []) == states[0].converged[0] == raw.converged
 
     def test_non_kronecker_joint_basis_rejected(self):
         cube = dataio.synth_cube(76, 4, 4, 3)

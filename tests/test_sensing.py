@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tempfile
 import tracemalloc
@@ -470,6 +471,19 @@ def test_measurement_set_refuses_non_finite_y(value):
     y[1, 2] = value
     with pytest.raises(ValueError, match="y holds non-finite values"):
         MeasurementSet(y, SeededSensingEnsemble(0, 4, 3, 8), Layout.ROWS_2D, (4, 8))
+
+
+def test_measurement_set_values_cannot_change_after_the_check():
+    # a value written after construction would reach the solver unchecked
+    y = np.ones((4, 3))
+    ms = MeasurementSet(y, SeededSensingEnsemble(0, 4, 3, 8), Layout.ROWS_2D, (4, 8))
+    with pytest.raises(ValueError, match="read-only"):
+        ms.y[3, 0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ms.y = np.full((4, 3), np.nan)
+    # the set holds its own copy: the caller's array stays writable and apart
+    y[3, 0] = np.nan
+    assert np.isfinite(ms.y).all()
 
 
 @settings(max_examples=80, deadline=None)

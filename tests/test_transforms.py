@@ -89,27 +89,18 @@ def test_separable_round_trip_and_parseval_property(axes, seed, batch):
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), np.linalg.norm(theta, axis=1), rtol=1e-12)
 
 
-def test_split_slice_axis():
-    per_slice, cross = tr.split_slice_axis(separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6)
-    assert per_slice == tr.separable2d_basis(4, 5, (tr.IDENTITY, tr.DCT)) and cross == tr.DCT
-    assert tr.split_slice_axis(tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3) == \
-        (tr.dct1d_basis(7), tr.IDENTITY)
-    for basis, slices in ((tr.dct1d_basis(8), 8), (tr.separable2d_basis(7, 3), 7)):
-        with pytest.raises(ValueError, match="slice axis last"):
-            tr.split_slice_axis(basis, slices)
-
-
 def test_join_slice_axis_inverts_split():
-    for joint, slices in ((separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT)), 6),
-                          (tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY)), 3),
-                          (tr.separable2d_basis(2, 9, (tr.IDENTITY, tr.DCT)), 9)):
-        per_slice, cross = tr.split_slice_axis(joint, slices)
-        assert tr.join_slice_axis(per_slice, slices, cross) == joint
+    assert tr.join_slice_axis(tr.separable2d_basis(4, 5, (tr.IDENTITY, tr.DCT)), 6, tr.DCT) == \
+        separable3d_basis(4, 5, 6, (tr.IDENTITY, tr.DCT, tr.DCT))
+    assert tr.join_slice_axis(tr.dct1d_basis(7), 3, tr.IDENTITY) == \
+        tr.separable2d_basis(7, 3, (tr.DCT, tr.IDENTITY))
+    assert tr.join_slice_axis(tr.identity_basis(2), 9, tr.DCT) == \
+        tr.separable2d_basis(2, 9, (tr.IDENTITY, tr.DCT))
     # a slice basis of three axes makes a joint basis of four
     slice_basis = separable3d_basis(2, 3, 4, (tr.DCT, tr.IDENTITY, tr.DCT))
     joint = tr.join_slice_axis(slice_basis, 5, tr.DCT)
     assert joint.dims == (2, 3, 4, 5) and joint.size == 120
-    assert tr.split_slice_axis(joint, 5) == (slice_basis, tr.DCT)
+    assert (joint.dims[:-1], joint.factors) == (slice_basis.dims, slice_basis.factors + (tr.DCT,))
 
 
 @pytest.mark.parametrize(
