@@ -176,8 +176,10 @@ def _recon_config(opts: dict) -> ReconConfig:
     """ReconConfig from reconstruct options: parsed flags or a benchmark cell."""
     if opts["filter"] == "blockls":
         flt = BlockLSPredictorConfig(block_size=opts["block_size"])
-    else:
+    elif opts["filter"] in _FILTERS:
         flt = _FILTERS[opts["filter"]]
+    else:
+        raise ValueError(f"unknown filter {opts['filter']!r}; choose from blockls, {', '.join(_FILTERS)}")
     solver = SolveConfig(
         feasibility_tol=opts["solver_feas"],
         objective_tol=opts["solver_obj"],
@@ -295,8 +297,16 @@ _SUITE_DEFAULTS = {
 }
 
 
+_FLAGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _flag(value: str) -> bool:
+    return _FLAGS[value.lower()]
+
+
 def parse_suite(path) -> dict:
-    """Flat key = value format; # starts a comment, blank lines ignored."""
+    """Flat key = value format; # starts a comment, blank lines ignored.  An
+    unknown scenario or a switch neither true nor false is refused here."""
     cfg = dict(_SUITE_DEFAULTS)
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -307,16 +317,16 @@ def parse_suite(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SUITE_DEFAULTS:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+        if key == "scenario" and value not in _SCENARIO_LAYOUTS:
+            raise ValueError(f"{path}:{ln}: scenario {value!r} is not one of {', '.join(_SCENARIO_LAYOUTS)}")
+        if key in ("include_omp", "save_recons") and value.lower() not in _FLAGS:
+            raise ValueError(f"{path}:{ln}: {key} {value!r} is not one of {', '.join(_FLAGS)}")
         cfg[key] = value
     return cfg
 
 
 def _csv_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
-
-
-def _flag(value: str) -> bool:
-    return value.lower() in ("true", "1", "yes")
 
 
 # the suite keys every cell carries, with their types; a cell adds m, init,
@@ -511,12 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["separate", "kcs"], default="separate")
     p.add_argument("--filter", choices=["p1", "p2", "p3", "blockls"], default="p3")
     p.add_argument("--basis", choices=["dct", "identity"], default="dct")
-    p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--solver-feas", type=float, default=1e-3)
-    p.add_argument("--solver-obj", type=float, default=1e-4)
-    p.add_argument("--solver-iters", type=int, default=2000)
+    profile = ReconConfig()
+    p.add_argument("--iters", type=int, default=profile.max_outer_iters)
+    p.add_argument("--tol", type=float, default=profile.convergence_tol)
+    p.add_argument("--block-size", type=int, default=BlockLSPredictorConfig().block_size)
+    p.add_argument("--solver-feas", type=float, default=profile.solver.feasibility_tol)
+    p.add_argument("--solver-obj", type=float, default=profile.solver.objective_tol)
+    p.add_argument("--solver-iters", type=int, default=profile.solver.max_solver_iters)
     p.add_argument("--truth", help="ground-truth image/cube for the MSE trace")
     p.add_argument("-o", "--output", required=True, help="output prefix")
     p.set_defaults(func=cmd_reconstruct)

@@ -77,7 +77,6 @@ class ReconReport:
     compressibility_trace: list | None
     iterations_run: int
     converged: bool
-    elapsed_seconds: float
     solver_warnings: list = field(default_factory=list)
 
 
@@ -269,8 +268,11 @@ def predict_slice_rows(flt: RowFilter, x_prev: np.ndarray, layout: Layout, edge:
 
 
 def predict_cube_bands(cfg_blockls: BlockLSPredictorConfig, f_prev: np.ndarray) -> np.ndarray:
-    """Two-sided blockwise prediction of every band (one-sided at the ends)."""
+    """Two-sided blockwise prediction of every band (one-sided at the ends);
+    a lone band keeps f_prev, as a lone slice does in predict_slice_rows."""
     bands = f_prev.shape[2]
+    if bands == 1:
+        return f_prev.copy()
     pred = np.empty_like(f_prev)
     for b in range(bands):
         prev_band = f_prev[:, :, b - 1] if b > 0 else None
@@ -313,24 +315,21 @@ def _run_iterations(ms, basis, cfg, initial, ground_truth):
         raise ValueError(f"layout {ms.layout.name} needs a {filter_type.__name__} filter, "
                          f"got {type(cfg.filter).__name__}")
     basis = basis or slice_basis_for(ms)
-    x0 = _signal_like(ms, "initial", initial)
+    x = _signal_like(ms, "initial", initial)
     truth = _signal_like(ms, "ground_truth", ground_truth)
     t0 = time.perf_counter()
     provider = _PhiProvider(ms.ensemble, basis)
     if initial is None:
-        x0, init_warnings = _initialize(ms, basis, cfg, provider)
+        x, warnings = _initialize(ms, basis, cfg, provider)
     else:
-        init_warnings = []
+        warnings = []
     track_compress = truth is not None and ms.layout == Layout.ROWS_2D
 
-    x = x0
     mse_trace = None if truth is None else [metrics.mse(x, truth)]
     rel_trace = [np.nan]
     elapsed = [time.perf_counter() - t0]
     compress_trace = [metrics.row_compressibility(truth)] if track_compress else None
-    warnings = list(init_warnings)
     converged = False
-    iterations = 0
     lo, hi = edge, ms.ensemble.num_slices - edge
 
     for it in range(1, cfg.max_outer_iters + 1):
@@ -341,7 +340,6 @@ def _run_iterations(ms, basis, cfg, initial, ground_truth):
             pred = predict_cube_bands(cfg.filter, x_prev)
         x, sweep_warn = _residual_sweep(ms, cfg.solver, pred, provider, lo, hi)
         warnings.extend((it, w) for w in sweep_warn)
-        iterations = it
 
         prev_norm = np.linalg.norm(x_prev)
         diff_norm = np.linalg.norm(x - x_prev)
@@ -362,9 +360,8 @@ def _run_iterations(ms, basis, cfg, initial, ground_truth):
         rel_change_trace=rel_trace,
         elapsed_trace=elapsed,
         compressibility_trace=compress_trace,
-        iterations_run=iterations,
+        iterations_run=len(rel_trace) - 1,
         converged=converged,
-        elapsed_seconds=time.perf_counter() - t0,
         solver_warnings=warnings,
     )
     return x, report

@@ -11,7 +11,7 @@ into the stack (row k of Phi_s*Psi is the analysis transform of row k of
 Phi_s).  The reconstruction composes its stack as it draws it, and passes no
 cross-slice factor to the sweeps and the cross-slice DCT to the Kronecker
 initialization.  solve_l1 and solve_omp take a dense matrix and a basis,
-which they compose into it (_composed).
+which they compose into it (_dense_problem).
 
 Each slice's rows are factored once per call: an eigendecomposition of the
 m x m Gram matrix, whose eigenvalues at or below its rounding level,
@@ -22,13 +22,14 @@ m >= n of full rank the projection is the least-squares point, so it is
 ADMM's first candidate and the solve stops at its first check with it:
 converged when the system is consistent, not converged when it is not.
 Problems in a batch are solved independently: each leaves the batch at its
-own stop, with a result that does not depend on the batch.
+own stop, with a result that does not depend on the batch.  Each solver
+refuses measurements holding a NaN or an infinity before it starts.
 
 solve_omp is the greedy baseline, an independent route to check the convex
 solver against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
@@ -79,11 +80,6 @@ class SolveResult:
     l1_objective: float
     iterations: int
     converged: bool
-    # (iteration, l1 objective, residual l2) at each check.  solve_l1 projects
-    # every candidate onto the constraints, so its residual column is
-    # gap*||y||, the distance of y from the range of A*Psi, fixed for the
-    # whole solve; solve_omp's is the residual after each added atom.
-    trace: list = field(default_factory=list)
 
 
 def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
@@ -156,10 +152,8 @@ class BatchSolveState:
 
     theta: np.ndarray
     residual: np.ndarray
-    objective: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    traces: list
 
 
 def _row_space(op, yhat: np.ndarray, work: np.ndarray):
@@ -204,7 +198,7 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     return qt, rank, yq, gap
 
 
-def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchSolveState:
+def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     """Basis pursuit by ADMM on the exact projection (Boyd et al. 2011, 6.2).
 
     Each slice's rows are factored once (_row_space) into an orthonormal
@@ -224,7 +218,8 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     is done at its first check.  A problem that leaves the working set has
     its Q^T rows overwritten by compaction in place, so every row operation
     is per problem and a result is bit-identical alone or in any batch.  The
-    reported residual is recomputed on the caller's stack.
+    reported residual is recomputed on the caller's stack; of the checks
+    themselves only the iteration count is kept.
     """
     y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
     ynorm = np.linalg.norm(y, axis=1)
@@ -233,7 +228,6 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
     theta = np.zeros((op.batch, op.n))
     iterations = np.zeros(op.batch, dtype=np.int64)
     stopped = ynorm == 0
-    traces = [[] for _ in range(op.batch)]
     work = np.flatnonzero(ynorm > 0)
     if work.size:
         # the iteration is not scale-equivariant (the soft-threshold has a
@@ -264,10 +258,6 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                 cand = z - proj.adjoint(proj.forward(z) - yq)
                 obj = np.abs(cand).sum(axis=1) * yscale
                 iterations[work] = k
-                if keep_trace:
-                    res = gap * yscale
-                    for local, g in enumerate(work):
-                        traces[g].append((k, float(obj[local]), float(res[local])))
                 # an infeasible problem's one candidate is taken as well
                 better = obj < best
                 theta[work[better]] = cand[better] * yscale[better, None]
@@ -291,16 +281,22 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig, keep_trace: bool) -> BatchS
                     proj = BatchedOperator(qt[:kidx.size], op.cross)
 
     residual = np.linalg.norm(op.forward(theta) - y, axis=1)
-    return BatchSolveState(theta=theta, residual=residual, objective=np.abs(theta).sum(axis=1),
-                           iterations=iterations, converged=stopped & (residual <= bound), traces=traces)
+    return BatchSolveState(theta=theta, residual=residual, iterations=iterations,
+                           converged=stopped & (residual <= bound))
 
 
-def _composed(a, basis: SparsityBasis | None) -> np.ndarray:
-    """The dense matrix a*Psi: row k of it is the analysis transform of row k of a."""
+def _dense_problem(a, basis: SparsityBasis | None, y) -> tuple[np.ndarray, np.ndarray]:
+    """a*Psi (row k: the analysis transform of row k of a) and y, checked against it."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"sensing matrix must be 2-D, got shape {a.shape}")
-    return a if basis is None else transforms.analyze(basis, a)
+    a = a if basis is None else transforms.analyze(basis, a)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.shape[0] != a.shape[0]:
+        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {a.shape[0]}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements hold non-finite values")
+    return a, y
 
 
 def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
@@ -308,23 +304,19 @@ def solve_l1(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     """Recover the minimum-l1 coefficient vector consistent with y.
 
     a is the dense m x n sensing matrix; basis is the sparsity basis (None
-    means identity), of size n, composed into a before the solve (_composed).
+    means identity), of size n, composed into a before the solve (_dense_problem).
     Returns the best feasible iterate encountered; converged=False flags a
     solve that did not finish within max_solver_iters (see SolveConfig).
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(_composed(a, basis)[None])
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != op.m:
-        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {op.m}")
-    state = _admm_batch(op, y[None, :], cfg, keep_trace=True)
+    dense, y = _dense_problem(a, basis, y)
+    state = _admm_batch(BatchedOperator(dense[None]), y[None, :], cfg)
     return SolveResult(
         theta_hat=state.theta[0],
         residual_l2=float(state.residual[0]),
-        l1_objective=float(state.objective[0]),
+        l1_objective=float(np.abs(state.theta[0]).sum()),
         iterations=int(state.iterations[0]),
         converged=bool(state.converged[0]),
-        trace=state.traces[0],
     )
 
 
@@ -344,7 +336,10 @@ def solve_l1_batch(phi: np.ndarray, cross: str | None, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")
-    return _admm_batch(op, y, cfg, keep_trace=False)
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+    if bad.size:
+        raise ValueError(f"measurement rows {bad.tolist()} hold non-finite values")
+    return _admm_batch(op, y, cfg)
 
 
 def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
@@ -355,7 +350,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     atom norm), then a least-squares refit over the active set.  Stops after
     sparsity_budget atoms or once the residual drops below residual_tol*||y||.
     The composed dictionary A*Psi is materialized from the dense sensing
-    matrix a and basis as for solve_l1 (_composed).
+    matrix a and basis as for solve_l1 (_dense_problem).
     """
     if sparsity_budget is None and residual_tol is None:
         raise ValueError("need sparsity_budget or residual_tol")
@@ -364,11 +359,8 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     if residual_tol is not None and residual_tol <= 0:
         raise ValueError("residual_tol must be > 0")
 
-    dictionary = _composed(a, basis)
+    dictionary, y = _dense_problem(a, basis, y)
     m, n = dictionary.shape
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != m:
-        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {m}")
     norms = np.linalg.norm(dictionary, axis=0)
     norms[norms == 0] = 1.0
 
@@ -379,7 +371,6 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     support: list[int] = []
     coef = np.empty(0)
     resid = y.copy()
-    trace = []
     it = 0
     while len(support) < budget and np.linalg.norm(resid) > rtol * max(ynorm, 1e-300):
         it += 1
@@ -392,7 +383,6 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
         cols = dictionary[:, support]
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         resid = y - cols @ coef
-        trace.append((it, float(np.abs(coef).sum()), float(np.linalg.norm(resid))))
 
     theta = np.zeros(n)
     theta[support] = coef
@@ -400,4 +390,4 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     converged = rnorm <= max(rtol, 1e-10) * max(ynorm, 1e-300) or (
         sparsity_budget is not None and len(support) == sparsity_budget
     )
-    return SolveResult(theta, rnorm, float(np.abs(theta).sum()), it, converged, trace)
+    return SolveResult(theta, rnorm, float(np.abs(theta).sum()), it, converged)

@@ -67,5 +67,4 @@ def solve_l0_bruteforce(a: np.ndarray, y: np.ndarray, k: int) -> SolveResult:
         l1_objective=float(np.abs(best_theta).sum()),
         iterations=0,
         converged=True,
-        trace=[],
     )

@@ -373,6 +373,26 @@ class TestBenchmark:
         rows = (workdir / "bench" / "mse_vs_m.csv").read_text().splitlines()[2:]
         assert [r.split(",")[2] for r in rows] == ["separate", "separate"]
 
+    def test_values_no_cell_can_use_refused_at_parse_time(self, workdir, capsys):
+        switch_words = "is not one of true, 1, yes, false, 0, no"
+        for line, refusal in [("scenario = 4d", "scenario '4d' is not one of 2d, 3d, 3d_rows"),
+                              ("include_omp = flase", f"include_omp 'flase' {switch_words}"),
+                              ("save_recons = maybe", f"save_recons 'maybe' {switch_words}")]:
+            Path("suite.txt").write_text(SUITE + line + "\n")
+            assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 2
+            assert capsys.readouterr().err == f"error: suite.txt:11: {refusal}\n"
+            assert not (workdir / "bench").exists()
+        # the switches read in any case
+        Path("suite.txt").write_text("include_omp = YES\nsave_recons = No\n")
+        assert parse_suite("suite.txt")["include_omp"] == "YES"
+
+    def test_unknown_filter_named_per_cell(self, workdir, capsys):
+        Path("suite.txt").write_text(SUITE.replace("filter = p3", "filter = p4,p3"))
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"cell failed: 2d m={m} seed=0: unknown filter 'p4'; choose from blockls, p1, p2, p3"
+                       for m in (4, 8)]
+
     def test_suite_parsing(self, workdir):
         Path("bad.txt").write_text("unknown_key = 3\n")
         with pytest.raises(ValueError):

@@ -259,8 +259,7 @@ class TestReconstruct2D:
 
         monkeypatch.setattr(recon, "init_separate", slow_init)
         _, report = reconstruct_2d(ms, None, ReconConfig(max_outer_iters=1))
-        assert report.elapsed_trace[0] >= 0.2
-        assert report.elapsed_seconds >= report.elapsed_trace[-1] >= 0.2
+        assert report.elapsed_trace[-1] >= report.elapsed_trace[0] >= 0.2
 
     @pytest.mark.parametrize("init", [recon.INIT_SEPARATE, recon.INIT_KCS])
     def test_sensing_matrices_drawn_once(self, monkeypatch, init):
@@ -360,6 +359,18 @@ class TestReconstruct3D:
         _, report = reconstruct_3d(ms, None, cfg, ground_truth=cube)
         assert not report.solver_warnings
         assert report.mse_trace[-1] < report.mse_trace[0]
+
+    @pytest.mark.parametrize("init", [recon.INIT_SEPARATE, recon.INIT_KCS])
+    def test_one_band_cube_keeps_its_initialization(self, init):
+        # a lone band has no neighbor to predict from: the prediction is the
+        # initialization itself, which the sweep leaves where it is
+        cube = Cube3D(dataio.synth_image(37, 8, 8).samples[:, :, None])
+        ms = acquire_bands_3d(cube, SeededSensingEnsemble(38, 1, 24, 64))
+        cfg = ReconConfig(init=init, filter=BlockLSPredictorConfig(), max_outer_iters=2)
+        rec, report = reconstruct_3d(ms, None, cfg, ground_truth=cube)
+        assert report.converged and report.iterations_run == 1
+        assert report.rel_change_trace[1] < cfg.convergence_tol
+        assert rec.samples.shape == (8, 8, 1)
 
 
 # one small scene per layout: acquisition, scene, ensemble, container type

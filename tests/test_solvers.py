@@ -387,13 +387,16 @@ class TestSolveL1:
             res.l1_objective, 1e-300
         )
 
-    def test_returned_iterate_is_best_feasible_in_trace(self):
-        a, _, y = planted_instance(9, 32, 3, 16)
-        cfg = SolveConfig()
-        res = solve_l1(a, None, y, cfg)
-        bound = cfg.feasibility_tol * np.linalg.norm(y)
-        feasible_objs = [obj for _, obj, r in res.trace if r <= bound]
-        assert feasible_objs and res.l1_objective <= min(feasible_objs) + 1e-12
+    def test_returned_iterate_is_the_lowest_l1_candidate(self):
+        # a solve capped at k checks sees the full solve's first k candidates,
+        # so none of them may have a lower l1 than the full solve's result;
+        # on this instance the candidate l1 rises again before the solve stops
+        a, _, y = planted_instance(13, 32, 6, 16)
+        full = solve_l1(a, None, y)
+        assert full.converged
+        for k in range(1, full.iterations // solvers._CHECK_EVERY + 1):
+            capped = solve_l1(a, None, y, SolveConfig(max_solver_iters=k * solvers._CHECK_EVERY))
+            assert capped.l1_objective >= full.l1_objective, k
 
     def test_with_basis(self):
         # sparse in DCT: plant coefficients, synthesize, measure
@@ -442,6 +445,19 @@ class TestSolveL1:
         r2 = solve_l1(a, None, y)
         assert np.array_equal(r1.theta_hat, r2.theta_hat)
         assert r1.iterations == r2.iterations
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurements_refused(bad):
+    phi = random_stack(17, 3, 4, 8)
+    y = np.ones((3, 4))
+    y[1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape("measurement rows [1] hold non-finite values")):
+        solve_l1_batch(phi, None, y)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_l1(phi[1], None, y[1])
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_omp(phi[1], None, y[1], sparsity_budget=2)
 
 
 class TestSolveOMP:
