@@ -81,15 +81,24 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _load_signal(path):
-    """Load a PGM image or a PCS3 cube, detected by magic bytes."""
+def _load_signal(path, layout: Layout):
+    """Load a PGM image or a PCS3 cube, detected by magic bytes, as layout
+    takes it: a 1-band cube serves as an image for rows2d."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic[:2] == b"P5":
         return dataio.load_image(path)
-    if magic == b"PCS3":
-        return dataio.load_cube(path)
-    raise ValueError(f"{path}: neither a P5 PGM nor a PCS3 cube file")
+    if magic != b"PCS3":
+        raise ValueError(f"{path}: neither a P5 PGM nor a PCS3 cube file")
+    cube = dataio.load_cube(path)
+    if layout == Layout.ROWS_2D and cube.samples.shape[2] == 1:
+        return Image2D(cube.samples[:, :, 0])
+    return cube
+
+
+def _save_as_cube(samples: np.ndarray, path) -> None:
+    """Write rank-2 samples as a 1-band cube, rank-3 samples as they are."""
+    dataio.save_cube(Cube3D(np.atleast_3d(samples)), path)
 
 
 # --- synth -----------------------------------------------------------------------
@@ -101,7 +110,7 @@ def cmd_synth(args) -> int:
         if out.suffix == ".pgm":
             dataio.save_image(img, out, maxval=args.maxval)
         else:
-            dataio.save_cube(Cube3D(img.samples[:, :, None]), out)
+            _save_as_cube(img.samples, out)
     else:
         cube = dataio.synth_cube(args.seed, args.rows, args.cols, args.bands)
         dataio.save_cube(cube, out)
@@ -126,17 +135,9 @@ def cmd_synth(args) -> int:
 
 # --- acquire ---------------------------------------------------------------------
 
-def _for_layout(signal, layout: Layout):
-    """signal as layout takes it: a 1-band cube serves as an image for rows2d."""
-    if layout == Layout.ROWS_2D and isinstance(signal, Cube3D) and signal.n_bands == 1:
-        return Image2D(signal.samples[:, :, 0])
-    return signal
-
-
 def _acquire(signal, layout: Layout, m: int, seed: int,
              shared_matrix: bool = False, non_compressive: bool = False) -> sensing.MeasurementSet:
     """Measure signal slice by slice through the sensing entry point of layout."""
-    signal = _for_layout(signal, layout)
     num_slices, n = sensing.slice_geometry(layout, signal.samples.shape)
     ensemble = sensing.SeededSensingEnsemble(seed, num_slices, m, n, shared_matrix, non_compressive)
     # looked up at call time, so that a wrapper installed on the module is seen
@@ -144,7 +145,8 @@ def _acquire(signal, layout: Layout, m: int, seed: int,
 
 
 def cmd_acquire(args) -> int:
-    ms = _acquire(_load_signal(args.input), _LAYOUT_NAMES[args.layout], args.m, args.seed,
+    layout = _LAYOUT_NAMES[args.layout]
+    ms = _acquire(_load_signal(args.input, layout), layout, args.m, args.seed,
                   args.shared_matrix, args.non_compressive)
     num_slices, n = ms.ensemble.num_slices, ms.ensemble.n
     out = Path(args.output)
@@ -195,15 +197,14 @@ def _recon_config(opts: dict) -> ReconConfig:
 
 
 def _reconstruct(ms, basis, cfg, truth):
-    """Run the reconstruction of ms's layout; returns (Cube3D, ReconReport).
+    """Run the reconstruction of ms's layout; returns (samples, ReconReport).
 
-    An image comes back as a 1-band cube.  recon is read at call time, so
-    that a wrapper installed on the module is seen.
+    recon is read at call time, so that a wrapper installed on the module is
+    seen.
     """
-    if ms.layout == Layout.ROWS_2D:
-        result, report = recon.reconstruct_2d(ms, basis, cfg, ground_truth=truth)
-        return Cube3D(result.samples[:, :, None]), report
-    return recon.reconstruct_3d(ms, basis, cfg, ground_truth=truth)
+    run = recon.reconstruct_2d if ms.layout == Layout.ROWS_2D else recon.reconstruct_3d
+    result, report = run(ms, basis, cfg, ground_truth=truth)
+    return result.samples, report
 
 
 def cmd_reconstruct(args) -> int:
@@ -212,8 +213,8 @@ def cmd_reconstruct(args) -> int:
     basis = recon.slice_basis_for(ms, kind=args.basis)
     truth = None
     if args.truth:
-        truth = _for_layout(_load_signal(args.truth), ms.layout)
-    cube, report = _reconstruct(ms, basis, cfg, truth)
+        truth = _load_signal(args.truth, ms.layout)
+    samples, report = _reconstruct(ms, basis, cfg, truth)
     prefix = Path(args.output)
     recon_path = prefix.with_suffix(".pcs3")
     report_path = prefix.with_suffix(".report.csv")
@@ -236,7 +237,7 @@ def cmd_reconstruct(args) -> int:
         versions=_versions(),
     )
     digest = manifest.write(prefix.with_suffix(".manifest.json"))
-    dataio.save_cube(cube, recon_path)
+    _save_as_cube(samples, recon_path)
     rows = [[i, "" if report.mse_trace is None else repr(report.mse_trace[i]),
              "" if i == 0 else repr(report.rel_change_trace[i]), f"{report.elapsed_trace[i]:.3f}"]
             for i in range(report.iterations_run + 1)]
@@ -306,7 +307,9 @@ def _flag(value: str) -> bool:
 
 def parse_suite(path) -> dict:
     """Flat key = value format; # starts a comment, blank lines ignored.  An
-    unknown scenario or a switch neither true nor false is refused here."""
+    unknown scenario, a switch neither true nor false, or a value that its
+    key's type (_typed) does not take is refused here; the values are kept
+    as written, for the manifest."""
     cfg = dict(_SUITE_DEFAULTS)
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -321,6 +324,10 @@ def parse_suite(path) -> dict:
             raise ValueError(f"{path}:{ln}: scenario {value!r} is not one of {', '.join(_SCENARIO_LAYOUTS)}")
         if key in ("include_omp", "save_recons") and value.lower() not in _FLAGS:
             raise ValueError(f"{path}:{ln}: {key} {value!r} is not one of {', '.join(_FLAGS)}")
+        try:
+            _typed(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {key} {value!r}: {exc}") from None
         cfg[key] = value
     return cfg
 
@@ -336,6 +343,18 @@ _CELL_TYPES = {
     "tol": float, "solver_feas": float, "solver_obj": float, "solver_iters": int,
     "block_size": int, "omp_budget_fraction": float,
 }
+
+
+def _typed(key: str, value: str):
+    """A suite value in its type: m and seeds are lists of ints, jobs an int,
+    the _CELL_TYPES keys their type; the other keys stay as written."""
+    if key in ("m", "seeds"):
+        return [int(v) for v in _csv_list(value)]
+    if key == "jobs":
+        return int(value)
+    return _CELL_TYPES.get(key, str)(value)
+
+
 # the columns that name a cell in every CSV
 _KEY_COLS = ["scenario", "m", "init", "filter", "seed"]
 _CSV_NAMES = ("mse_vs_iter.csv", "mse_vs_m.csv", "mse_per_band.csv", "compressibility_vs_iter.csv")
@@ -356,7 +375,7 @@ def _run_cell(cell: dict) -> dict:
     basis = recon.slice_basis_for(ms, kind=cell["basis"])
     result, report = _reconstruct(ms, basis, _recon_config(cell), scene)
     band_mse = [] if cell["scenario"] == "2d" else [
-        metrics.mse(result.samples[:, :, b], scene.samples[:, :, b])
+        metrics.mse(result[:, :, b], scene.samples[:, :, b])
         for b in range(cell["bands"])
     ]
     return {
@@ -366,7 +385,7 @@ def _run_cell(cell: dict) -> dict:
         "iterations": report.iterations_run,
         "converged": report.converged,
         "band_mse": band_mse,
-        "recon": result.samples,
+        "recon": result,
     }
 
 
@@ -426,9 +445,9 @@ def cmd_benchmark(args) -> int:
     outdir = Path(args.output or "benchmark_out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    m_values = [int(v) for v in _csv_list(cfg["m"])]
-    seeds = [int(v) for v in _csv_list(cfg["seeds"])]
-    base = {key: kind(cfg[key]) for key, kind in _CELL_TYPES.items()}
+    m_values = _typed("m", cfg["m"])
+    seeds = _typed("seeds", cfg["seeds"])
+    base = {key: _typed(key, cfg[key]) for key in _CELL_TYPES}
     cells = [{**base, "m": m, "init": init, "filter": flt, "seed": seed, "omp": False}
              for m, init, flt, seed in itertools.product(
                  m_values, _csv_list(cfg["init"]), _csv_list(cfg["filter"]), seeds)]
@@ -436,7 +455,7 @@ def cmd_benchmark(args) -> int:
         cells += [{**base, "m": m, "init": "omp", "filter": "-", "seed": seed, "omp": True}
                   for m, seed in itertools.product(m_values, seeds)]
 
-    jobs = args.jobs or int(cfg["jobs"])
+    jobs = args.jobs or _typed("jobs", cfg["jobs"])
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             futures = [pool.submit(_run_cell, c) for c in cells]
@@ -459,8 +478,7 @@ def cmd_benchmark(args) -> int:
         (outdir / "recons").mkdir(exist_ok=True)
         for cell, res in done:
             name = "{scenario}_m{m}_{init}_{filter}_s{seed}.pcs3".format(**cell)
-            arr = res["recon"]
-            dataio.save_cube(Cube3D(arr[:, :, None] if arr.ndim == 2 else arr), outdir / "recons" / name)
+            _save_as_cube(res["recon"], outdir / "recons" / name)
 
     iter_rows, m_rows, band_rows, comp_rows = [], [], [], []
     for cell, res in done:

@@ -129,7 +129,7 @@ def save_image(image: Image2D, path, maxval: int = 255) -> None:
     arr = np.clip(np.round(image.samples * maxval), 0, maxval)
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.n_cols} {image.n_rows}\n{maxval}\n".encode())
+        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode())
         fh.write(arr.astype(dtype).tobytes(order="C"))
 
 
@@ -141,9 +141,7 @@ def save_cube(cube: Cube3D, path) -> None:
         _CUBE_MAGIC,
         _CUBE_VERSION,
         SAMPLE_FORMATS["f64le"],
-        cube.n_rows,
-        cube.n_cols,
-        cube.n_bands,
+        *cube.samples.shape,
         bytes(12),
     )
     arr = cube.samples.transpose(2, 0, 1)  # BSQ: band, row, col

@@ -4,7 +4,7 @@ import numpy as np
 
 from . import transforms
 
-# per-row DCT threshold: theta_th = _THRESHOLD_MULTIPLIER * ||theta||_1 / n_cols
+# per-row DCT threshold: theta_th = _THRESHOLD_MULTIPLIER * ||theta||_1 / n, n the row length
 _THRESHOLD_MULTIPLIER = 5.0
 
 
@@ -26,9 +26,9 @@ def row_compressibility(x) -> float:
     arr = np.asarray(getattr(x, "samples", x), dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"need a 2D array, got shape {arr.shape}")
-    n_cols = arr.shape[1]
-    basis = transforms.dct1d_basis(n_cols)
+    n = arr.shape[1]
+    basis = transforms.dct1d_basis(n)
     theta = transforms.analyze(basis, arr)
-    thresholds = _THRESHOLD_MULTIPLIER * np.abs(theta).sum(axis=1) / n_cols
+    thresholds = _THRESHOLD_MULTIPLIER * np.abs(theta).sum(axis=1) / n
     fractions = (np.abs(theta) <= thresholds[:, None]).mean(axis=1)
     return float(fractions.mean())

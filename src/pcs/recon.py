@@ -63,8 +63,8 @@ class ReconConfig:
             raise ValueError(f"unknown init strategy {self.init!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be > 0")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError("convergence_tol must be finite and > 0")
 
 
 @dataclass

@@ -18,6 +18,7 @@ slice views all follow from that one entry.
 
 import enum
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -119,8 +120,8 @@ class MeasurementSet:
     signal_shape is (rows, cols) or (rows, cols, bands) of the source signal.
     A set whose y is not finite, or whose signal_shape does not slice into
     the ensemble's slices under layout, is refused.  The set is frozen and
-    holds its own read-only copy of y, so the values checked here are the
-    values every later solve reads.
+    holds its own read-only copy of y and signal_shape as a tuple of ints,
+    so the values checked here are the values every later solve reads.
     """
 
     y: np.ndarray
@@ -132,6 +133,7 @@ class MeasurementSet:
         y = np.array(self.y, dtype=np.float64)
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "signal_shape", tuple(map(operator.index, self.signal_shape)))
         if self.y.shape != (self.ensemble.num_slices, self.ensemble.m):
             raise ValueError(
                 f"y shape {self.y.shape} does not match ensemble "

@@ -67,8 +67,8 @@ class SolveConfig:
     max_solver_iters: int = 5000
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not (0 < self.feasibility_tol < np.inf and 0 < self.objective_tol < np.inf):
+            raise ValueError("tolerances must be finite and > 0")
         if self.max_solver_iters < 1:
             raise ValueError("max_solver_iters must be >= 1")
 
@@ -348,16 +348,17 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
 
     Greedy pick of the atom best correlated with the residual (normalized by
     atom norm), then a least-squares refit over the active set.  Stops after
-    sparsity_budget atoms or once the residual drops below residual_tol*||y||.
-    The composed dictionary A*Psi is materialized from the dense sensing
-    matrix a and basis as for solve_l1 (_dense_problem).
+    sparsity_budget atoms, once the residual drops below residual_tol*||y||,
+    or when no atom is left correlated with it; iterations is the number of
+    atoms chosen.  The composed dictionary A*Psi is materialized from the
+    dense sensing matrix a and basis as for solve_l1 (_dense_problem).
     """
     if sparsity_budget is None and residual_tol is None:
         raise ValueError("need sparsity_budget or residual_tol")
     if sparsity_budget is not None and sparsity_budget < 1:
         raise ValueError("sparsity_budget must be >= 1")
-    if residual_tol is not None and residual_tol <= 0:
-        raise ValueError("residual_tol must be > 0")
+    if residual_tol is not None and not 0 < residual_tol < np.inf:
+        raise ValueError("residual_tol must be finite and > 0")
 
     dictionary, y = _dense_problem(a, basis, y)
     m, n = dictionary.shape
@@ -371,9 +372,7 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     support: list[int] = []
     coef = np.empty(0)
     resid = y.copy()
-    it = 0
     while len(support) < budget and np.linalg.norm(resid) > rtol * max(ynorm, 1e-300):
-        it += 1
         c = (dictionary.T @ resid) / norms
         c[support] = 0.0
         j = int(np.argmax(np.abs(c)))
@@ -390,4 +389,4 @@ def solve_omp(a: np.ndarray, basis: SparsityBasis | None, y: np.ndarray,
     converged = rnorm <= max(rtol, 1e-10) * max(ynorm, 1e-300) or (
         sparsity_budget is not None and len(support) == sparsity_budget
     )
-    return SolveResult(theta, rnorm, float(np.abs(theta).sum()), it, converged)
+    return SolveResult(theta, rnorm, float(np.abs(theta).sum()), len(support), converged)

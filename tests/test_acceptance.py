@@ -205,7 +205,7 @@ def test_criterion_4_filter_selection():
     lines = []
     all_ok = True
     for img, m, iters in cases:
-        ens = SeededSensingEnsemble(41, img.n_rows, m, img.n_cols)
+        ens = SeededSensingEnsemble(41, img.samples.shape[0], m, img.samples.shape[1])
         ms = acquire_rows_2d(img, ens)
         init, _ = init_separate(ms)
         best = {}
@@ -215,7 +215,7 @@ def test_criterion_4_filter_selection():
             best[label] = min(report.mse_trace)
         ok = best["P3"] <= best["P1"] and best["P3"] <= best["P2"]
         all_ok &= ok
-        lines.append(f"{img.n_rows}px M={m}: P1 {best['P1']:.3e} "
+        lines.append(f"{img.samples.shape[0]}px M={m}: P1 {best['P1']:.3e} "
                      f"P2 {best['P2']:.3e} P3 {best['P3']:.3e} ({ok})")
     print(f"\ncriterion 4 [{name}]: " + "; ".join(lines) +
           f" -> {'PASS' if all_ok else 'FAIL'}")
@@ -231,7 +231,7 @@ def test_criterion_5_compressibility_trend():
         img, m = img512, 128
     else:
         img, m = _downsample(img512, 4), 32  # same compression ratio
-    ens = SeededSensingEnsemble(42, img.n_rows, m, img.n_cols)
+    ens = SeededSensingEnsemble(42, img.samples.shape[0], m, img.samples.shape[1])
     ms = acquire_rows_2d(img, ens)
     cfg = ReconConfig(filter=P3, max_outer_iters=10, convergence_tol=1e-9)
     _, report = reconstruct_2d(ms, None, cfg, ground_truth=img)
@@ -264,7 +264,7 @@ def test_criterion_6_kcs_initialization_dominance():
         band = dataio.load_image(AIRS_BAND)
         rows_ok = []
         for m in (8, 16, 32, 64):
-            ens = SeededSensingEnsemble(7, band.n_rows, m, band.n_cols)
+            ens = SeededSensingEnsemble(7, band.samples.shape[0], m, band.samples.shape[1])
             ms = acquire_rows_2d(band, ens)
             sep, _ = init_separate(ms)
             kcs, _ = init_kcs(ms)
@@ -365,7 +365,7 @@ def test_criterion_8_archive_substitution():
 
     if AIRS_BAND:
         band = dataio.load_image(AIRS_BAND)
-        ens = SeededSensingEnsemble(11, band.n_rows, 32, band.n_cols)
+        ens = SeededSensingEnsemble(11, band.samples.shape[0], 32, band.samples.shape[1])
         ms2 = acquire_rows_2d(band, ens)
         cfg2 = ReconConfig(filter=P3, max_outer_iters=10)
         _, rep2 = reconstruct_2d(ms2, None, cfg2, ground_truth=band)

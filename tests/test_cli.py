@@ -131,6 +131,15 @@ class TestReconstruct:
         assert main(["reconstruct", "c.pcsm", "--filter", "p1", "-o", "rec"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerances_refused(self, workdir, capsys, value):
+        img = _synth_image(workdir, rows=16, cols=16)
+        main(["acquire", str(img), "-m", "4", "-o", "m.pcsm"])
+        for flag in ("--tol", "--solver-feas", "--solver-obj"):
+            assert main(["reconstruct", "m.pcsm", f"{flag}={value}", "--iters", "3", "-o", "rec"]) == 2
+            assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (workdir / "rec.pcs3").exists()
+
     def test_truth_shape_mismatch(self, workdir, capsys):
         img = _synth_image(workdir, rows=24, cols=24)
         other = _synth_image(workdir, name="other.pgm", rows=16, cols=24, seed=9)
@@ -385,6 +394,21 @@ class TestBenchmark:
         # the switches read in any case
         Path("suite.txt").write_text("include_omp = YES\nsave_recons = No\n")
         assert parse_suite("suite.txt")["include_omp"] == "YES"
+
+    def test_non_numeric_values_refused_at_parse_time(self, workdir, capsys):
+        not_int = "invalid literal for int() with base 10:"
+        for line, refusal in [("rows = abc", f"rows 'abc': {not_int} 'abc'"),
+                              ("m = 4,x", f"m '4,x': {not_int} 'x'"),
+                              ("seeds = 0,1.5", f"seeds '0,1.5': {not_int} '1.5'"),
+                              ("jobs = two", f"jobs 'two': {not_int} 'two'"),
+                              ("tol = abc", "tol 'abc': could not convert string to float: 'abc'")]:
+            Path("suite.txt").write_text(SUITE + line + "\n")
+            assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 2
+            assert capsys.readouterr().err == f"error: suite.txt:11: {refusal}\n"
+            assert not (workdir / "bench").exists()
+        # the values are kept as written: they enter the manifest digest
+        Path("suite.txt").write_text("m = 4, 8\ntol = 1E-4\n")
+        assert parse_suite("suite.txt") == {**cli._SUITE_DEFAULTS, "m": "4, 8", "tol": "1E-4"}
 
     def test_unknown_filter_named_per_cell(self, workdir, capsys):
         Path("suite.txt").write_text(SUITE.replace("filter = p3", "filter = p4,p3"))

@@ -30,6 +30,12 @@ def joint_basis(ms):
     return transforms.join_slice_axis(slice_basis_for(ms), ms.ensemble.num_slices, transforms.DCT)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_convergence_tol_refused(bad):
+    with pytest.raises(ValueError, match="convergence_tol must be finite and > 0"):
+        ReconConfig(convergence_tol=bad)
+
+
 class TestGainDb:
     def test_equal_mse_is_zero(self):
         assert gain_db(0.5, 0.5) == 0.0

@@ -465,6 +465,19 @@ def test_measurement_set_holds_exactly_the_geometry_of_its_signal(case, data):
             MeasurementSet(y, ens, layout, shape)
 
 
+def test_measurement_set_holds_its_signal_shape_as_a_tuple_of_ints(tmp_path):
+    img = Image2D(np.random.default_rng(3).random((8, 16)))
+    ms = acquire_rows_2d(img, SeededSensingEnsemble(0, 8, 4, 16))
+    listed = MeasurementSet(ms.y, ms.ensemble, ms.layout, [np.int64(8), 16])
+    assert listed.signal_shape == (8, 16)
+    assert [type(d) for d in listed.signal_shape] == [int, int]
+    save_measurements(listed, tmp_path / "m.pcsm")
+    assert load_measurements(tmp_path / "m.pcsm").signal_shape == (8, 16)
+    cfg = recon.ReconConfig(max_outer_iters=1)
+    _, report = recon.reconstruct_2d(listed, None, cfg, ground_truth=img)
+    assert len(report.mse_trace) == 2
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_measurement_set_refuses_non_finite_y(value):
     y = np.ones((4, 3))

@@ -460,6 +460,15 @@ def test_non_finite_measurements_refused(bad):
         solve_omp(phi[1], None, y[1], sparsity_budget=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tolerances_refused(bad):
+    for kwargs in ({"feasibility_tol": bad}, {"objective_tol": bad}):
+        with pytest.raises(ValueError, match="tolerances must be finite and > 0"):
+            SolveConfig(**kwargs)
+    with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
+        solve_omp(np.ones((4, 8)), None, np.ones(4), residual_tol=bad)
+
+
 class TestSolveOMP:
     def test_single_atom(self):
         rng = np.random.default_rng(20)
@@ -475,6 +484,15 @@ class TestSolveOMP:
         res = solve_omp(a, None, y, residual_tol=1e-8)
         np.testing.assert_allclose(res.theta_hat, theta, atol=1e-10)
         assert res.iterations == 1
+
+    def test_iterations_count_the_atoms_chosen(self):
+        # after the one atom, the residual (0, 1, 0) is orthogonal to every
+        # atom: the pass that finds none chooses nothing and is not counted
+        res = solve_omp(np.array([[1.0], [0.0], [0.0]]), None, np.array([1.0, 1.0, 0.0]),
+                        residual_tol=1e-6)
+        assert np.count_nonzero(res.theta_hat) == 1
+        assert res.iterations == 1
+        assert not res.converged
 
     def test_matches_l0_oracle_mostly(self):
         hits = 0
