@@ -107,7 +107,7 @@ def cmd_synth(args) -> int:
     out = Path(args.output)
     if args.kind == "image":
         img = dataio.synth_image(args.seed, args.rows, args.cols)
-        if out.suffix == ".pgm":
+        if out.suffix.lower() == ".pgm":
             dataio.save_image(img, out, maxval=args.maxval)
         else:
             _save_as_cube(img.samples, out)
@@ -307,9 +307,10 @@ def _flag(value: str) -> bool:
 
 def parse_suite(path) -> dict:
     """Flat key = value format; # starts a comment, blank lines ignored.  An
-    unknown scenario, a switch neither true nor false, or a value that its
-    key's type (_typed) does not take is refused here; the values are kept
-    as written, for the manifest."""
+    unknown scenario, a switch neither true nor false, a value that its
+    key's type (_typed) does not take, a list that repeats a value (a cell
+    run twice) and jobs below 1 are refused here; the values are kept as
+    written, for the manifest."""
     cfg = dict(_SUITE_DEFAULTS)
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -325,9 +326,15 @@ def parse_suite(path) -> dict:
         if key in ("include_omp", "save_recons") and value.lower() not in _FLAGS:
             raise ValueError(f"{path}:{ln}: {key} {value!r} is not one of {', '.join(_FLAGS)}")
         try:
-            _typed(key, value)
+            typed = _typed(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {key} {value!r}: {exc}") from None
+        if isinstance(typed, list):
+            repeated = [v for i, v in enumerate(typed) if v in typed[:i]]
+            if repeated:
+                raise ValueError(f"{path}:{ln}: {key} {value!r} repeats {repeated[0]!r}")
+        if key == "jobs" and typed < 1:
+            raise ValueError(f"{path}:{ln}: jobs {value!r} must be >= 1")
         cfg[key] = value
     return cfg
 
@@ -346,10 +353,13 @@ _CELL_TYPES = {
 
 
 def _typed(key: str, value: str):
-    """A suite value in its type: m and seeds are lists of ints, jobs an int,
-    the _CELL_TYPES keys their type; the other keys stay as written."""
+    """A suite value in its type: m and seeds are lists of ints, init and
+    filter lists of names, jobs an int, the _CELL_TYPES keys their type; the
+    other keys stay as written."""
     if key in ("m", "seeds"):
         return [int(v) for v in _csv_list(value)]
+    if key in ("init", "filter"):
+        return _csv_list(value)
     if key == "jobs":
         return int(value)
     return _CELL_TYPES.get(key, str)(value)
@@ -441,6 +451,8 @@ def _write_csv(path, digest, header, rows) -> None:
 
 
 def cmd_benchmark(args) -> int:
+    if args.jobs < 0:
+        raise ValueError(f"--jobs {args.jobs} must be >= 0 (0 takes the suite's jobs)")
     cfg = parse_suite(args.suite)
     outdir = Path(args.output or "benchmark_out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -450,7 +462,7 @@ def cmd_benchmark(args) -> int:
     base = {key: _typed(key, cfg[key]) for key in _CELL_TYPES}
     cells = [{**base, "m": m, "init": init, "filter": flt, "seed": seed, "omp": False}
              for m, init, flt, seed in itertools.product(
-                 m_values, _csv_list(cfg["init"]), _csv_list(cfg["filter"]), seeds)]
+                 m_values, _typed("init", cfg["init"]), _typed("filter", cfg["filter"]), seeds)]
     if _flag(cfg["include_omp"]):
         cells += [{**base, "m": m, "init": "omp", "filter": "-", "seed": seed, "omp": True}
                   for m, seed in itertools.product(m_values, seeds)]

@@ -1,24 +1,21 @@
 """File ingestion, persistence, and the synthetic correlated-data generators.
 
-Images load from binary PGM (P5, 8- or 16-bit); cubes use a small raw format
-with a fixed 32-byte little-endian header:
+Images load from binary PGM (P5, 8- or 16-bit), normalized to [0, 1] by the
+stated maxval; cubes use one raw format with a fixed 32-byte little-endian
+header:
 
     offset size  field
     0      4     magic "PCS3"
     4      2     version (currently 1)           uint16
-    6      2     sample format: 0 u8, 1 u16le,   uint16
-                 2 f64le (pcs writes f64le only)
+    6      2     sample format: 2 (f64le)        uint16
     8      4     rows                            uint32
     12     4     cols                            uint32
     16     4     bands                           uint32
     20     12    reserved, zero
-    32     ...   payload, band-sequential (BSQ): bands outermost, then rows,
-                 then cols
+    32     ...   f64le payload, band-sequential (BSQ): bands outermost, then
+                 rows, then cols
 
-load_cube reads all three sample formats: integer samples normalize to
-[0, 1] on load (u8 by 255, u16 by 65535; PGM by its stated maxval), and f64
-payloads pass through untouched, so save/load of a cube round-trips
-bit-exactly.
+so save/load of a cube round-trips bit-exactly.
 
 The synthetic generators substitute for hyperspectral archives that cannot be
 redistributed: their parameters are frozen constants (bump GENERATOR_VERSION
@@ -26,7 +23,6 @@ when changing them) so downstream acceptance numbers stay stable.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -52,28 +48,7 @@ _CUBE_MAGIC = b"PCS3"
 _CUBE_VERSION = 1
 _CUBE_HEADER = struct.Struct("<4sHHIII12s")
 
-SAMPLE_FORMATS = {"u8": 0, "u16le": 1, "f64le": 2}
-_FORMAT_NAMES = {v: k for k, v in SAMPLE_FORMATS.items()}
-_FORMAT_DTYPES = {"u8": np.dtype("u1"), "u16le": np.dtype("<u2"), "f64le": np.dtype("<f8")}
-_FORMAT_SCALE = {"u8": 255.0, "u16le": 65535.0, "f64le": 1.0}
-
-
-@dataclass(frozen=True)
-class CubeHeader:
-    rows: int
-    cols: int
-    bands: int
-    sample_format: str = "f64le"
-
-    def __post_init__(self):
-        if min(self.rows, self.cols, self.bands) < 1:
-            raise ValueError("all cube dimensions must be >= 1")
-        if self.sample_format not in SAMPLE_FORMATS:
-            raise ValueError(f"unsupported sample format {self.sample_format!r}")
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.rows * self.cols * self.bands * _FORMAT_DTYPES[self.sample_format].itemsize
+_CUBE_F64LE = 2  # the one sample format
 
 
 # --- PGM ---------------------------------------------------------------------
@@ -119,6 +94,8 @@ def load_image(path) -> Image2D:
     if len(payload) != expected:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
     samples = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    if samples.size and samples.max() > maxval:
+        raise ValueError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
     return Image2D(samples.astype(np.float64) / maxval)
 
 
@@ -140,7 +117,7 @@ def save_cube(cube: Cube3D, path) -> None:
     header = _CUBE_HEADER.pack(
         _CUBE_MAGIC,
         _CUBE_VERSION,
-        SAMPLE_FORMATS["f64le"],
+        _CUBE_F64LE,
         *cube.samples.shape,
         bytes(12),
     )
@@ -164,33 +141,16 @@ def load_cube(path) -> Cube3D:
             raise ValueError(f"{path}: unsupported version {version}")
         if any(reserved):
             raise ValueError(f"{path}: reserved header bytes {reserved.hex()} are not zero")
-        if fmt not in _FORMAT_NAMES:
-            raise ValueError(f"{path}: unknown sample format {fmt}")
-        header = CubeHeader(rows, cols, bands, _FORMAT_NAMES[fmt])
+        if fmt != _CUBE_F64LE:
+            raise ValueError(f"{path}: sample format {fmt} is not {_CUBE_F64LE} (f64le)")
+        if min(rows, cols, bands) < 1:
+            raise ValueError(f"{path}: cube dimensions {rows}x{cols}x{bands} must all be >= 1")
         payload = fh.read()
-    if len(payload) != header.payload_bytes:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {header.payload_bytes}"
-        )
-    return _cube_from_payload(payload, header)
-
-
-def import_raw_cube(path, header: CubeHeader) -> Cube3D:
-    """Ingest a headerless raw BSQ file, given its layout."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) != header.payload_bytes:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {header.payload_bytes}"
-        )
-    return _cube_from_payload(payload, header)
-
-
-def _cube_from_payload(payload: bytes, header: CubeHeader) -> Cube3D:
-    arr = np.frombuffer(payload, dtype=_FORMAT_DTYPES[header.sample_format])
-    arr = arr.reshape(header.bands, header.rows, header.cols).transpose(1, 2, 0)
-    samples = arr.astype(np.float64) / _FORMAT_SCALE[header.sample_format]
-    return Cube3D(samples)
+    expected = rows * cols * bands * 8
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
+    samples = np.frombuffer(payload, "<f8").reshape(bands, rows, cols).transpose(1, 2, 0)
+    return Cube3D(samples.astype(np.float64))
 
 
 # --- synthetic generators ------------------------------------------------------

@@ -52,6 +52,11 @@ class TestSynth:
         cube = dataio.load_cube(path)
         assert cube.samples.shape == (8, 8, 4)
 
+    def test_pgm_suffix_in_any_case(self, workdir):
+        path = _synth_image(workdir, "img.PGM")
+        assert path.read_bytes()[:2] == b"P5"
+        assert dataio.load_image(path).samples.shape == (24, 24)
+
 
 class TestAcquire:
     def test_shapes_and_ratio(self, workdir, capsys):
@@ -84,6 +89,17 @@ class TestAcquire:
         assert main(["acquire", str(img), "-m", "8", "-o", "m.pcsm"]) == 2
         assert "claims the signal of 8192 bytes" in capsys.readouterr().err
         assert draws == [] and not (workdir / "m.pcsm").exists()
+
+    @pytest.mark.parametrize("content,refusal", [
+        (b"rows = 8\n", "neither a P5 PGM nor a PCS3 cube file"),
+        (b"abc", "neither a P5 PGM nor a PCS3 cube file"),
+        (b"P5\n2 2\n100\n" + bytes([0, 50, 200, 255]), "sample 255 exceeds maxval 100"),
+    ])
+    def test_unreadable_input_refused(self, workdir, capsys, content, refusal):
+        Path("x.in").write_bytes(content)
+        assert main(["acquire", "x.in", "-m", "1", "-o", "m.pcsm"]) == 2
+        assert capsys.readouterr().err == f"error: x.in: {refusal}\n"
+        assert not (workdir / "m.pcsm").exists()
 
     def test_layout_needs_cube(self, workdir, capsys):
         img = _synth_image(workdir)
@@ -409,6 +425,25 @@ class TestBenchmark:
         # the values are kept as written: they enter the manifest digest
         Path("suite.txt").write_text("m = 4, 8\ntol = 1E-4\n")
         assert parse_suite("suite.txt") == {**cli._SUITE_DEFAULTS, "m": "4, 8", "tol": "1E-4"}
+
+    def test_repeated_values_and_bad_jobs_refused_at_parse_time(self, workdir, capsys):
+        for line, refusal in [("m = 2,2", "m '2,2' repeats 2"),
+                              ("m = 4, 8, 04", "m '4, 8, 04' repeats 4"),
+                              ("seeds = 0,1,0", "seeds '0,1,0' repeats 0"),
+                              ("init = separate,kcs,separate", "init 'separate,kcs,separate' repeats 'separate'"),
+                              ("filter = p3, p3", "filter 'p3, p3' repeats 'p3'"),
+                              ("jobs = 0", "jobs '0' must be >= 1"),
+                              ("jobs = -3", "jobs '-3' must be >= 1")]:
+            Path("suite.txt").write_text(SUITE + line + "\n")
+            assert main(["benchmark", "--suite", "suite.txt", "--out", "bench"]) == 2
+            assert capsys.readouterr().err == f"error: suite.txt:11: {refusal}\n"
+            assert not (workdir / "bench").exists()
+
+    def test_negative_jobs_flag_refused(self, workdir, capsys):
+        Path("suite.txt").write_text(SUITE)
+        assert main(["benchmark", "--suite", "suite.txt", "--out", "bench", "--jobs", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --jobs -3 must be >= 0 (0 takes the suite's jobs)\n"
+        assert not (workdir / "bench").exists()
 
     def test_unknown_filter_named_per_cell(self, workdir, capsys):
         Path("suite.txt").write_text(SUITE.replace("filter = p3", "filter = p4,p3"))

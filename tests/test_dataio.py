@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -10,8 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from pcs.dataio import (
     GENERATOR_VERSION,
-    CubeHeader,
-    import_raw_cube,
     load_cube,
     load_image,
     save_cube,
@@ -55,6 +54,12 @@ class TestPGM:
         with pytest.raises(ValueError):
             load_image(path)
 
+    def test_sample_above_maxval_refused(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 50, 200, 255]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample 255 exceeds maxval 100$"):
+            load_image(path)
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
         img = Image2D(rng.random((5, 7)))
@@ -84,15 +89,21 @@ class TestCubeFiles:
             back = load_cube(path)
         assert np.array_equal(back.samples, samples)
 
-    def test_u16_payload_loads_normalized(self, tmp_path):
-        rng = np.random.default_rng(2)
-        vals = rng.integers(0, 65536, size=(2, 3, 4), dtype=np.uint16)  # band,row,col
+    @pytest.mark.parametrize("fmt", [0, 1, 3])
+    def test_sample_format_other_than_f64le_refused(self, tmp_path, fmt):
         path = tmp_path / "c.pcs3"
-        # magic, version 1, sample format 1 (u16le), rows, cols, bands, reserved
-        header = struct.pack("<4sHHIII12s", b"PCS3", 1, 1, 3, 4, 2, bytes(12))
-        path.write_bytes(header + vals.astype("<u2").tobytes())
-        back = load_cube(path)
-        assert np.array_equal(back.samples, vals.transpose(1, 2, 0) / 65535.0)
+        header = struct.pack("<4sHHIII12s", b"PCS3", 1, fmt, 2, 2, 2, bytes(12))
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample format {fmt} is not 2 \\(f64le\\)$"):
+            load_cube(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_zero_dimension_refused(self, tmp_path, dims):
+        path = tmp_path / "c.pcs3"
+        path.write_bytes(struct.pack("<4sHHIII12s", b"PCS3", 1, 2, *dims, bytes(12)))
+        refusal = f"{path}: cube dimensions {dims[0]}x{dims[1]}x{dims[2]} must all be >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            load_cube(path)
 
     def test_header_payload_mismatch(self, tmp_path):
         cube = Cube3D(np.zeros((2, 2, 2)))
@@ -120,17 +131,6 @@ class TestCubeFiles:
         path.write_bytes(b"XXXX" + bytes(60))
         with pytest.raises(ValueError):
             load_cube(path)
-
-    def test_import_raw(self, tmp_path):
-        rng = np.random.default_rng(3)
-        vals = rng.integers(0, 65535, size=(2, 3, 4), dtype=np.uint16)  # band,row,col
-        path = tmp_path / "raw.bin"
-        path.write_bytes(vals.astype("<u2").tobytes())
-        cube = import_raw_cube(path, CubeHeader(3, 4, 2, "u16le"))
-        assert cube.samples.shape == (3, 4, 2)
-        assert cube.samples[1, 2, 0] == pytest.approx(vals[0, 1, 2] / 65535)
-        with pytest.raises(ValueError):
-            import_raw_cube(path, CubeHeader(3, 4, 3, "u16le"))
 
     def test_bsq_band_order(self, tmp_path):
         cube = Cube3D(np.stack([np.zeros((2, 2)), np.ones((2, 2))], axis=2))
