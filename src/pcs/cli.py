@@ -19,6 +19,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, dataio, metrics, predictors, recon, sensing, solvers, transforms
 from .predictors import BlockLSPredictorConfig
@@ -27,20 +28,23 @@ from .sensing import Layout
 from .signals import Cube3D, Image2D
 from .solvers import SolveConfig
 
-_LAYOUT_NAMES = {
-    "rows2d": Layout.ROWS_2D,
-    "bands3d": Layout.BANDS_3D,
-    "spectralrows3d": Layout.SPECTRAL_ROWS_3D,
+# each layout: (--layout name, suite scenario, slice noun in messages, sensing
+# and reconstruction entry points by attribute name in sensing and recon)
+_LAYOUTS = {
+    Layout.ROWS_2D: ("rows2d", "2d", "rows", "acquire_rows_2d", "reconstruct_2d"),
+    Layout.BANDS_3D: ("bands3d", "3d", "bands", "acquire_bands_3d", "reconstruct_3d"),
+    Layout.SPECTRAL_ROWS_3D: ("spectralrows3d", "3d_rows", "spectral rows", "acquire_spectral_rows_3d",
+                              "reconstruct_3d"),
 }
+_LAYOUT_NAMES = {row[0]: layout for layout, row in _LAYOUTS.items()}
+_SCENARIO_LAYOUTS = {row[1]: layout for layout, row in _LAYOUTS.items()}
 _FILTERS = {"p1": predictors.P1, "p2": predictors.P2, "p3": predictors.P3}
-# the sensing entry point of each layout, by module attribute name
-_ACQUIRE = {
-    Layout.ROWS_2D: "acquire_rows_2d",
-    Layout.BANDS_3D: "acquire_bands_3d",
-    Layout.SPECTRAL_ROWS_3D: "acquire_spectral_rows_3d",
+# the reconstruct options that a flag and a suite key set alike, besides init
+# and filter, with their types
+_RECON_TYPES = {
+    "basis": str, "iters": int, "tol": float, "solver_feas": float, "solver_obj": float,
+    "solver_iters": int, "block_size": int,
 }
-_SCENARIO_LAYOUTS = {"2d": Layout.ROWS_2D, "3d": Layout.BANDS_3D, "3d_rows": Layout.SPECTRAL_ROWS_3D}
-_SLICE_NOUNS = {Layout.ROWS_2D: "rows", Layout.BANDS_3D: "bands", Layout.SPECTRAL_ROWS_3D: "spectral rows"}
 # unconverged solves named per stage by `reconstruct`; the rest are only counted
 _UNCONVERGED_LISTED = 10
 
@@ -67,18 +71,25 @@ class RunManifest:
         return d
 
 
-def _versions() -> dict:
-    import scipy
-
-    return {"artifact": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_manifest(path, command: str, config: dict, seed, source, outputs) -> str:
+    """Write the run manifest of command to path and return its digest; source
+    is the input file whose digest it records, or None."""
+    return RunManifest(
+        command=command,
+        config=config,
+        master_seed=seed,
+        input_digest=None if source is None else _sha256_file(source),
+        outputs=[str(out) for out in outputs],
+        versions={"artifact": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+    ).write(path)
 
 
 def _load_signal(path, layout: Layout):
@@ -114,21 +125,14 @@ def cmd_synth(args) -> int:
     else:
         cube = dataio.synth_cube(args.seed, args.rows, args.cols, args.bands)
         dataio.save_cube(cube, out)
-    manifest = RunManifest(
-        command="synth",
-        config={
-            "kind": args.kind,
-            "rows": args.rows,
-            "cols": args.cols,
-            "bands": args.bands if args.kind == "cube" else 1,
-            "generator_version": dataio.GENERATOR_VERSION,
-        },
-        master_seed=args.seed,
-        input_digest=None,
-        outputs=[str(out)],
-        versions=_versions(),
-    )
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    config = {
+        "kind": args.kind,
+        "rows": args.rows,
+        "cols": args.cols,
+        "bands": args.bands if args.kind == "cube" else 1,
+        "generator_version": dataio.GENERATOR_VERSION,
+    }
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "synth", config, args.seed, None, [out])
     print(f"wrote {out}")
     return 0
 
@@ -141,7 +145,7 @@ def _acquire(signal, layout: Layout, m: int, seed: int,
     num_slices, n = sensing.slice_geometry(layout, signal.samples.shape)
     ensemble = sensing.SeededSensingEnsemble(seed, num_slices, m, n, shared_matrix, non_compressive)
     # looked up at call time, so that a wrapper installed on the module is seen
-    return getattr(sensing, _ACQUIRE[layout])(signal, ensemble)
+    return getattr(sensing, _LAYOUTS[layout][3])(signal, ensemble)
 
 
 def cmd_acquire(args) -> int:
@@ -151,22 +155,16 @@ def cmd_acquire(args) -> int:
     num_slices, n = ms.ensemble.num_slices, ms.ensemble.n
     out = Path(args.output)
     sensing.save_measurements(ms, out)
-    manifest = RunManifest(
-        command="acquire",
-        config={
-            "layout": args.layout,
-            "m": args.m,
-            "num_slices": num_slices,
-            "n": n,
-            "shared_matrix": args.shared_matrix,
-            "non_compressive": args.non_compressive,
-        },
-        master_seed=args.seed,
-        input_digest=_sha256_file(args.input),
-        outputs=[str(out)],
-        versions=_versions(),
-    )
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    config = {
+        "layout": args.layout,
+        "m": args.m,
+        "num_slices": num_slices,
+        "n": n,
+        "shared_matrix": args.shared_matrix,
+        "non_compressive": args.non_compressive,
+    }
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "acquire", config, args.seed,
+                    args.input, [out])
     print(f"wrote {out}: {num_slices} slices x {args.m} measurements "
           f"(compression {n / args.m:.2f}x)")
     return 0
@@ -197,13 +195,9 @@ def _recon_config(opts: dict) -> ReconConfig:
 
 
 def _reconstruct(ms, basis, cfg, truth):
-    """Run the reconstruction of ms's layout; returns (samples, ReconReport).
-
-    recon is read at call time, so that a wrapper installed on the module is
-    seen.
-    """
-    run = recon.reconstruct_2d if ms.layout == Layout.ROWS_2D else recon.reconstruct_3d
-    result, report = run(ms, basis, cfg, ground_truth=truth)
+    """Run the reconstruction of ms's layout; returns (samples, ReconReport)."""
+    # looked up at call time, so that a wrapper installed on the module is seen
+    result, report = getattr(recon, _LAYOUTS[ms.layout][4])(ms, basis, cfg, ground_truth=truth)
     return result.samples, report
 
 
@@ -218,25 +212,9 @@ def cmd_reconstruct(args) -> int:
     prefix = Path(args.output)
     recon_path = prefix.with_suffix(".pcs3")
     report_path = prefix.with_suffix(".report.csv")
-    manifest = RunManifest(
-        command="reconstruct",
-        config={
-            "init": args.init,
-            "filter": args.filter,
-            "basis": args.basis,
-            "iters": args.iters,
-            "tol": args.tol,
-            "solver_feas": args.solver_feas,
-            "solver_obj": args.solver_obj,
-            "solver_iters": args.solver_iters,
-            "block_size": args.block_size,
-        },
-        master_seed=ms.ensemble.master_seed,
-        input_digest=_sha256_file(args.input),
-        outputs=[str(recon_path), str(report_path)],
-        versions=_versions(),
-    )
-    digest = manifest.write(prefix.with_suffix(".manifest.json"))
+    config = {key: getattr(args, key) for key in ("init", "filter", *_RECON_TYPES)}
+    digest = _write_manifest(prefix.with_suffix(".manifest.json"), "reconstruct", config,
+                             ms.ensemble.master_seed, args.input, [recon_path, report_path])
     _save_as_cube(samples, recon_path)
     rows = [[i, "" if report.mse_trace is None else repr(report.mse_trace[i]),
              "" if i == 0 else repr(report.rel_change_trace[i]), f"{report.elapsed_trace[i]:.3f}"]
@@ -269,7 +247,7 @@ def _unconverged_list(warnings, layout) -> str:
             continue
         listed = ", ".join(map(str, idx[:_UNCONVERGED_LISTED]))
         more = len(idx) - _UNCONVERGED_LISTED
-        parts.append(f"{name}: {_SLICE_NOUNS[layout]} {listed}" + (f" and {more} more" if more > 0 else ""))
+        parts.append(f"{name}: {_LAYOUTS[layout][2]} {listed}" + (f" and {more} more" if more > 0 else ""))
     return "; ".join(parts)
 
 
@@ -346,9 +324,7 @@ def _csv_list(value: str) -> list[str]:
 # the suite keys every cell carries, with their types; a cell adds m, init,
 # filter, seed and the marker omp, which no suite can set
 _CELL_TYPES = {
-    "scenario": str, "rows": int, "cols": int, "bands": int, "basis": str, "iters": int,
-    "tol": float, "solver_feas": float, "solver_obj": float, "solver_iters": int,
-    "block_size": int, "omp_budget_fraction": float,
+    "scenario": str, "rows": int, "cols": int, "bands": int, **_RECON_TYPES, "omp_budget_fraction": float,
 }
 
 
@@ -476,15 +452,8 @@ def cmd_benchmark(args) -> int:
         outcomes = [_attempt(c, partial(_run_cell, c)) for c in cells]
     done = [(cell, res) for cell, res, err in outcomes if err is None]
 
-    manifest = RunManifest(
-        command="benchmark",
-        config=cfg,
-        master_seed=None,
-        input_digest=_sha256_file(args.suite),
-        outputs=[str(outdir / name) for name in _CSV_NAMES],
-        versions=_versions(),
-    )
-    digest = manifest.write(outdir / "manifest.json")
+    digest = _write_manifest(outdir / "manifest.json", "benchmark", cfg, None, args.suite,
+                             [outdir / name for name in _CSV_NAMES])
 
     if _flag(cfg["save_recons"]) and done:
         (outdir / "recons").mkdir(exist_ok=True)
@@ -548,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="iterative reconstruction from measurements")
     p.add_argument("input", help="measurement file from acquire")
-    p.add_argument("--init", choices=["separate", "kcs"], default="separate")
-    p.add_argument("--filter", choices=["p1", "p2", "p3", "blockls"], default="p3")
+    p.add_argument("--init", choices=[recon.INIT_SEPARATE, recon.INIT_KCS], default=recon.INIT_SEPARATE)
+    p.add_argument("--filter", choices=[*_FILTERS, "blockls"], default="p3")
     p.add_argument("--basis", choices=["dct", "identity"], default="dct")
     profile = ReconConfig()
     p.add_argument("--iters", type=int, default=profile.max_outer_iters)

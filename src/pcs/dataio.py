@@ -77,6 +77,15 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
     return tokens, pos + 1  # single whitespace after maxval
 
 
+def _pgm_dtype(maxval: int, where: str = "") -> np.dtype:
+    """The sample type of a PGM with maxval, one byte or two; where prefixes
+    the refusal of a maxval outside 1..65535."""
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{where}unsupported maxval {maxval}")
+    # PGM multi-byte samples are big-endian
+    return np.dtype("u1") if maxval < 256 else np.dtype(">u2")
+
+
 def load_image(path) -> Image2D:
     """Load a binary (P5) PGM file, normalizing samples to [0, 1] by maxval."""
     with open(path, "rb") as fh:
@@ -85,10 +94,7 @@ def load_image(path) -> Image2D:
         raise ValueError(f"{path}: not a binary PGM (P5) file")
     (width, height, maxval), offset = _read_pgm_tokens(data[2:], 3)
     offset += 2
-    if maxval < 1 or maxval > 65535:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    # PGM multi-byte samples are big-endian
-    dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
+    dtype = _pgm_dtype(maxval, f"{path}: ")
     expected = width * height * dtype.itemsize
     payload = data[offset : offset + expected]
     if len(payload) != expected:
@@ -101,10 +107,8 @@ def load_image(path) -> Image2D:
 
 def save_image(image: Image2D, path, maxval: int = 255) -> None:
     """Write a binary PGM, quantizing [0, 1] samples to maxval steps."""
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"unsupported maxval {maxval}")
+    dtype = _pgm_dtype(maxval)
     arr = np.clip(np.round(image.samples * maxval), 0, maxval)
-    dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode())
         fh.write(arr.astype(dtype).tobytes(order="C"))

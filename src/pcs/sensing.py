@@ -211,8 +211,8 @@ def _acquire(signal: np.ndarray, ensemble: SeededSensingEnsemble, layout: Layout
     step = chunk_length(ensemble)
     for i0 in range(0, ensemble.num_slices, step):
         i1 = min(i0 + step, ensemble.num_slices)
-        phi = draw_sensing_stack(ensemble, i0, i1)
-        y[i0:i1] = np.matmul(phi, x[i0:i1, :, None])[..., 0]
+        # no name holds a chunk, so the next draw finds the last one freed
+        y[i0:i1] = np.matmul(draw_sensing_stack(ensemble, i0, i1), x[i0:i1, :, None])[..., 0]
     return MeasurementSet(y, ensemble, layout, signal.shape)
 
 

@@ -270,9 +270,9 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
                 if last or kidx.size == 0:
                     break
                 if kidx.size < work.size:
-                    work, yscale, infeasible, determined, best, prev_obj, z, u, yq, gap = (
-                        arr[kidx] for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u,
-                                              yq, gap))
+                    work, yscale, infeasible, determined, best, prev_obj, z, u, yq = (
+                        arr[kidx]
+                        for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u, yq))
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved
                     for j, s in enumerate(kidx):

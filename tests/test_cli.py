@@ -190,18 +190,27 @@ class TestReconstruct:
             "sweep 2: rows 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 12 more"
         )
 
-    def test_spectral_rows_through_module_attributes(self, workdir, monkeypatch):
+    @pytest.mark.parametrize("layout, m, flags, entry_points, shape", [
+        ("rows2d", 3, ["--filter", "p1"], ["acquire_rows_2d", "reconstruct_2d"], (6, 4, 1)),
+        ("bands3d", 12, ["--filter", "blockls", "--block-size", "2"],
+         ["acquire_bands_3d", "reconstruct_3d"], (6, 4, 3)),
+        ("spectralrows3d", 6, ["--filter", "p1"], ["acquire_spectral_rows_3d", "reconstruct_3d"], (6, 4, 3)),
+    ], ids=["rows2d", "bands3d", "spectralrows3d"])
+    def test_each_layout_through_module_attributes(self, workdir, monkeypatch, layout, m, flags,
+                                                   entry_points, shape):
         # the benchmark wraps entry points by replacing module attributes, so
-        # the CLI must look each one up at call time
-        cube = _synth_cube(workdir, rows=6, cols=4, bands=3)
+        # the CLI must look each one up at call time, and each layout must
+        # reach its own
+        signal = (_synth_image(workdir, rows=6, cols=4) if layout == "rows2d"
+                  else _synth_cube(workdir, rows=6, cols=4, bands=3))
         calls = []
-        for module, name in ((sensing, "acquire_spectral_rows_3d"), (recon, "reconstruct_3d")):
+        for module, name in ((sensing, entry_points[0]), (recon, entry_points[1])):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
-        assert main(["acquire", str(cube), "--layout", "spectralrows3d", "-m", "6", "-o", "s.pcsm"]) == 0
-        assert main(["reconstruct", "s.pcsm", "--filter", "p1", "--iters", "1", "-o", "srec"]) == 0
-        assert calls == ["acquire_spectral_rows_3d", "reconstruct_3d"]
-        assert dataio.load_cube(workdir / "srec.pcs3").samples.shape == (6, 4, 3)
+        assert main(["acquire", str(signal), "--layout", layout, "-m", str(m), "-o", "s.pcsm"]) == 0
+        assert main(["reconstruct", "s.pcsm", *flags, "--iters", "1", "-o", "srec"]) == 0
+        assert calls == entry_points
+        assert dataio.load_cube(workdir / "srec.pcs3").samples.shape == shape
 
     def test_unconverged_list_format(self):
         assert cli._unconverged_list([(0, 0), (1, 17), (1, 45)], sensing.Layout.ROWS_2D) == \

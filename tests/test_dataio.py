@@ -60,6 +60,20 @@ class TestPGM:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample 255 exceeds maxval 100$"):
             load_image(path)
 
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_outside_16_bits_refused_at_load(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + bytes(4))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported maxval {maxval}$"):
+            load_image(path)
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_outside_16_bits_refused_at_save(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match=f"^unsupported maxval {maxval}$"):
+            save_image(Image2D(np.zeros((1, 2))), path, maxval=maxval)
+        assert not path.exists()
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
         img = Image2D(rng.random((5, 7)))

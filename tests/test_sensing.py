@@ -499,6 +499,24 @@ def test_measurement_set_values_cannot_change_after_the_check():
     assert np.isfinite(ms.y).all()
 
 
+def test_acquisition_holds_one_chunk_of_matrices_at_a_time(monkeypatch):
+    # 256 rows of 128 at m = 32 in chunks of 64 slices: four 2 MiB chunks, of
+    # which the next draw must not find the last one still held
+    image = Image2D(np.random.default_rng(0).random((256, 128)))
+    ens = SeededSensingEnsemble(4, 256, 32, 128)
+    expected = acquire_rows_2d(image, ens).y
+    budget = 64 * 32 * 128 * 8
+    monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        y = acquire_rows_2d(image, ens).y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(y, expected)
+    assert peak < 1.5 * budget
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), slices=st.integers(1, 8), m=st.integers(1, 4), n=st.integers(5, 8),
        budget_slices=st.integers(0, 9), offset=st.integers(-8, 8))
