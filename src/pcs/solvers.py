@@ -13,13 +13,14 @@ cross-slice factor to the sweeps and the cross-slice DCT to the Kronecker
 initialization.  solve_l1 and solve_omp take a dense matrix and a basis,
 which they compose into it (_dense_problem).
 
-Each slice's rows are factored once per call: an eigendecomposition of the
-m x m Gram matrix, whose eigenvalues at or below its rounding level,
-max(m, n)*eps of the largest, are null directions.  The iterations apply the
-orthonormal factor through BatchedOperator.  Every candidate is projected
-onto the constraints, and the result is the candidate of lowest l1.  For
-m >= n of full rank the projection is the least-squares point, so it is
-ADMM's first candidate and the solve stops at its first check with it:
+Each slice's rows are factored once per call through its m x m Gram
+matrix: by Cholesky when m < n and the slice is well conditioned, otherwise
+by an eigendecomposition whose eigenvalues at or below the Gram's rounding
+level, max(m, n)*eps of the largest, are null directions.  The iterations
+apply the orthonormal factor through BatchedOperator.  Every candidate is
+projected onto the constraints, and the result is the candidate of lowest
+l1.  For m >= n of full rank the projection is the least-squares point, so
+it is ADMM's first candidate and the solve stops at its first check with it:
 converged when the system is consistent, not converged when it is not.
 Problems in a batch are solved independently: each leaves the batch at its
 own stop, with a result that does not depend on the batch.  Each solver
@@ -44,6 +45,9 @@ _ADMM_RHO = 8.0
 # above it the transform is cheaper (it overtook the product at 180 to 250
 # slices, for slice lengths 64 to 576, on a 2-vCPU x86 machine)
 _DENSE_CROSS_MAX = 128
+# a slice with m < n whose bound on cond(B_s B_s^T) is at most 1/sqrt(eps)
+# is factored by Cholesky; its Gram matrix keeps at least half its digits
+_CHOLESKY_COND_MAX = np.finfo(np.float64).eps ** -0.5
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,6 @@ class SolveResult:
     l1_objective: float
     iterations: int
     converged: bool
-
-
-def _soft_threshold(v: np.ndarray, t) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 class BatchedOperator:
@@ -160,14 +160,25 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     """Orthonormal rows of the row space of every slice of the problems in work.
 
     yhat holds the normalized measurements of those problems, aligned with
-    work.  With B_s B_s^T = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T B_s
-    of the directions with w above the rank cut, max(m, n)*eps*max(w) (the
-    rounding level of the Gram matrix itself), are orthonormal, and
-    P(v) = v - Q(Q^T v - yq), yq = diag(w)^-1/2 V^T yhat_s, projects onto the
-    least-squares solutions of B_s theta = yhat_s.  Null directions get zero
-    rows.  gap is the distance of yhat_s from the range: 0 (to rounding) when
-    the system is consistent.  One slice at a time, so only the Q^T stack and
-    one m x m matrix are held.
+    work.  Each slice is factored through its Gram matrix G = B_s B_s^T, by
+    one of two routes chosen for that slice alone, so that its bits never
+    depend on its batch:
+
+    - Cholesky, for m < n when G = L L^T factors and trace(G)*||L^-1||_F^2,
+      an upper bound on cond(G), is at most _CHOLESKY_COND_MAX: Q^T = L^-1 B_s,
+      yq = L^-1 yhat_s, rank m and gap 0.  Such a slice has full row rank,
+      with every eigenvalue of G far above the rank cut below, so
+      B_s theta = yhat_s is consistent.
+    - eigh, for every other slice (m >= n, rank-deficient or ill-conditioned):
+      with G = V diag(w) V^T, the rows Q^T = diag(w)^-1/2 V^T B_s of the
+      directions with w above the rank cut, max(m, n)*eps*max(w) (the rounding
+      level of the Gram matrix itself), and yq = diag(w)^-1/2 V^T yhat_s.
+      Null directions get zero rows, and gap is the distance of yhat_s from
+      the range: 0 (to rounding) when the system is consistent.
+
+    Either way the rows of Q^T are orthonormal and P(v) = v - Q(Q^T v - yq)
+    projects onto the least-squares solutions of B_s theta = yhat_s.  One
+    slice at a time, so only the Q^T stack and a few m x m matrices are held.
 
     A joint problem factors every slice.  Its cross-slice factor is
     orthonormal, so BatchedOperator(Q^T, op.cross) turns P into the exact
@@ -178,13 +189,27 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     """
     slices = np.arange(op.phi.shape[0]) if op.joint else work
     yhat = yhat.reshape(slices.size, -1)
-    qt = np.zeros((slices.size,) + op.phi.shape[1:])
+    m, n = op.phi.shape[1:]
+    qt = np.zeros((slices.size, m, n))
     yq = np.zeros(yhat.shape)
     rank = np.empty(slices.size, dtype=np.int64)
     gap = np.empty(slices.size)
-    cut = max(op.phi.shape[1:]) * np.finfo(np.float64).eps
+    cut = max(m, n) * np.finfo(np.float64).eps
     for j, s in enumerate(slices):
-        w, v = np.linalg.eigh(op.phi[s] @ op.phi[s].T)
+        b = op.phi[s]
+        g = b @ b.T
+        if m < n:
+            try:
+                linv = np.linalg.inv(np.linalg.cholesky(g))
+            except np.linalg.LinAlgError:
+                linv = None
+            # ||L||_F^2 = trace(G), and cond(G) <= ||L||_F^2 ||L^-1||_F^2
+            if linv is not None and np.trace(g) * np.sum(linv * linv) <= _CHOLESKY_COND_MAX:
+                qt[j] = linv @ b
+                yq[j] = linv @ yhat[j]
+                rank[j], gap[j] = m, 0.0
+                continue
+        w, v = np.linalg.eigh(g)
         keep = w > w[-1] * cut
         v = v[:, keep]
         coef = v.T @ yhat[j]
@@ -192,7 +217,7 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
         scale = w[keep] ** -0.5
         rank[j] = scale.size
         yq[j, :scale.size] = coef * scale
-        qt[j, :scale.size] = (v * scale).T @ op.phi[s]
+        qt[j, :scale.size] = (v * scale).T @ b
     if op.joint:
         return qt, rank.sum(keepdims=True), yq.reshape(1, -1), np.linalg.norm(gap, keepdims=True)
     return qt, rank, yq, gap
@@ -201,12 +226,15 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
 def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     """Basis pursuit by ADMM on the exact projection (Boyd et al. 2011, 6.2).
 
-    Each slice's rows are factored once (_row_space) into an orthonormal
-    stack Q^T that this function owns, applied through a BatchedOperator over
-    Q^T with op.cross, so the iterations need no power iteration and no step
-    sizes.  With P(v) = v - Q(Q^T v - yq) the projection onto the
-    constraints, each iteration is
-        x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z.
+    Each slice's rows are factored once (_row_space, by Cholesky or eigh)
+    into an orthonormal stack Q^T that this function owns, applied through a
+    BatchedOperator over Q^T with op.cross, so the iterations need no power
+    iteration and no step sizes.  With P(v) = v - Q(Q^T v - yq) the
+    projection onto the constraints, each iteration is
+        x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z,
+    with soft(v, t) = sign(v)*max(|v| - t, 0).  z and u are updated in
+    place, and z - u, x + u and x - z share one buffer, so an iteration
+    allocates only the two applies' outputs and the residual between them.
 
     At each check the candidate is P(z), feasible to rounding, and the
     result is the candidate of lowest l1 (best); a problem is done, and
@@ -237,6 +265,8 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
         thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
         z = np.zeros((work.size, op.n))
         u = np.zeros((work.size, op.n))
+        # z - u, then x + u, then x - z
+        v = np.empty((work.size, op.n))
         best = np.full(work.size, np.inf)
         prev_obj = np.full(work.size, np.inf)
         proj = BatchedOperator(qt, op.cross)
@@ -249,10 +279,19 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
         k = 0
         while k < cfg.max_solver_iters:
             k += 1
-            a = z - u
-            x = a - proj.adjoint(proj.forward(a) - yq)
-            z = _soft_threshold(x + u, thresh)
-            u += x - z
+            np.subtract(z, u, out=v)
+            x = proj.adjoint(proj.forward(v) - yq)
+            np.subtract(v, x, out=x)
+            np.add(x, u, out=v)
+            # z = soft(v, thresh); copysign differs from sign only at v = -0,
+            # which x + u never is: u starts at +0, and a sum is -0 only when
+            # both its terms are
+            np.abs(v, out=z)
+            z -= thresh
+            np.maximum(z, 0.0, out=z)
+            np.copysign(z, v, out=z)
+            np.subtract(x, z, out=v)
+            u += v
             last = k == cfg.max_solver_iters
             if k % _CHECK_EVERY == 0 or last:
                 cand = z - proj.adjoint(proj.forward(z) - yq)
@@ -273,6 +312,7 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
                     work, yscale, infeasible, determined, best, prev_obj, z, u, yq = (
                         arr[kidx]
                         for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u, yq))
+                    v = v[:kidx.size]
                     # compact the Q^T buffer in place: kidx ascends, so no
                     # row is overwritten before it is moved
                     for j, s in enumerate(kidx):

@@ -1,6 +1,7 @@
 """Dense and exhaustive references for the library's fast routes, for small
 instances: the block-diagonal sensing operator, the synthesis matrix of a
-separable basis, and brute-force l0 recovery."""
+separable basis, the projection onto a system's least-squares solutions, and
+brute-force l0 recovery."""
 
 import itertools
 
@@ -32,6 +33,11 @@ def dense_synthesis_matrix(basis: SparsityBasis) -> np.ndarray:
         fac = np.eye(d) if f == IDENTITY else dct_matrix(d).T
         out = np.kron(out, fac)
     return out
+
+
+def pinv_projection(a: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection of v onto the least-squares solutions of a*theta = y, by the pseudo-inverse."""
+    return v - np.linalg.pinv(a) @ (a @ v - y)
 
 
 def solve_l0_bruteforce(a: np.ndarray, y: np.ndarray, k: int) -> SolveResult:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pcs.solvers import (
     solve_omp,
 )
 
-from oracles import dense_synthesis_matrix, separable3d_basis, solve_l0_bruteforce
+from oracles import dense_synthesis_matrix, pinv_projection, separable3d_basis, solve_l0_bruteforce
 
 
 def planted_instance(seed, n, k, m):
@@ -35,6 +36,15 @@ def top_support(theta, k):
 
 def random_stack(seed, slices, m, n):
     return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(m), (slices, m, n))
+
+
+def ill_conditioned(seed, m, n, decades=5.1):
+    """An m x n matrix of full rank whose singular values span the given decades."""
+    rng = np.random.default_rng([seed, 53])
+    r = min(m, n)
+    u, _ = np.linalg.qr(rng.normal(size=(m, r)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    return (u * np.logspace(0, -decades, r)) @ v.T
 
 
 class TestBatchedOperator:
@@ -166,6 +176,9 @@ class TestBatchIndependence:
         slices, m, n = 10, 20 if determined else 8, 16
         rng = np.random.default_rng(seed)
         phi = random_stack(seed, slices, m, n)
+        # slice 7 is of full rank but ill-conditioned: the Cholesky route
+        # refuses it, so it is factored by eigh, as slice 8 is
+        phi[7] = ill_conditioned(seed, m, n)
         # slice 8 repeats a row with another measurement: it cannot be feasible
         phi[8, -1] = phi[8, 0]
         theta = np.zeros((slices, n))
@@ -179,7 +192,13 @@ class TestBatchIndependence:
         # the sweep tolerances: the problems stop at different checks
         cfg = SolveConfig(feasibility_tol=1e-3, objective_tol=1e-4, max_solver_iters=600)
         subset = np.flatnonzero(rng.random(slices) < 0.5)
-        full = solve_l1_batch(phi, None, y, cfg)
+        eighs = []
+        eigh = np.linalg.eigh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", lambda g: eighs.append(g) or eigh(g))
+            full = solve_l1_batch(phi, None, y, cfg)
+        # slice 9 measures nothing and is never factored
+        assert len(eighs) == (slices - 1 if determined else 2)
         part = solve_l1_batch(phi[subset], None, y[subset], cfg)
         runs = [(s, solve_l1_batch(phi[s:s + 1], None, y[s:s + 1], cfg), 0) for s in range(slices)]
         runs += [(s, part, j) for j, s in enumerate(subset)]
@@ -189,6 +208,51 @@ class TestBatchIndependence:
             assert state.converged[j] == full.converged[s]
         assert not full.converged[8] and full.iterations[8] == solvers._CHECK_EVERY
         assert full.converged[9] and full.iterations[9] == 0 and not full.theta[9].any()
+
+
+class TestRowSpace:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(1, 5), m=st.integers(1, 8),
+           extra=st.integers(0, 12), cross=st.sampled_from((None, tr.DCT)))
+    def test_cholesky_route_matches_the_pseudo_inverse_projection(self, seed, slices, m, extra, cross):
+        # full-rank slices with n >= 2m are factored by Cholesky alone, and
+        # their projection is the pseudo-inverse's, independent or joint
+        n = 2 * m + extra
+        phi = random_stack(seed, slices, m, n)
+        op = BatchedOperator(phi, cross)
+        rng = np.random.default_rng([seed, 1])
+        yhat = rng.normal(size=(op.batch, op.m))
+        v = rng.normal(size=(op.batch, op.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", None)
+            qt, rank, yq, gap = solvers._row_space(op, yhat, np.arange(op.batch))
+        proj = BatchedOperator(qt, cross)
+        projected = v - proj.adjoint(proj.forward(v) - yq)
+        if cross is None:
+            dense = list(phi)
+        else:
+            dense = [block_diag(*phi) @ np.kron(tr.dct_matrix(slices).T, np.eye(n))]
+        for j, a in enumerate(dense):
+            want = pinv_projection(a, yhat[j], v[j])
+            assert np.linalg.norm(projected[j] - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(rank, np.full(op.batch, op.m))
+        assert not gap.any()
+
+    def test_factor_holds_the_stack_and_one_slice(self):
+        # 64 slices of 32 x 64, one of them by eigh: a slice's temporaries
+        # take a few of its 16 KiB, a Gram or inverse stack would add 512 KiB
+        slices, m, n = 64, 32, 64
+        phi = random_stack(6, slices, m, n)
+        phi[3, -1] = phi[3, 0]
+        op = BatchedOperator(phi)
+        yhat = np.random.default_rng(7).normal(size=(slices, m))
+        tracemalloc.start()
+        try:
+            qt, _, yq, _ = solvers._row_space(op, yhat, np.arange(slices))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < qt.nbytes + yq.nbytes + 8 * phi[0].nbytes
 
 
 class TestAlgorithmChoice:
