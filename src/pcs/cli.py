@@ -14,7 +14,6 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -49,28 +48,6 @@ _RECON_TYPES = {
 _UNCONVERGED_LISTED = 10
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    master_seed: int | None
-    input_digest: str | None
-    outputs: list
-    versions: dict
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    def write(self, path) -> str:
-        d = self.digest()
-        payload = json.dumps({"digest": d, **asdict(self)}, sort_keys=True, indent=2)
-        Path(path).write_text(payload + "\n")
-        return d
-
-
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -81,15 +58,19 @@ def _sha256_file(path) -> str:
 
 def _write_manifest(path, command: str, config: dict, seed, source, outputs) -> str:
     """Write the run manifest of command to path and return its digest; source
-    is the input file whose digest it records, or None."""
-    return RunManifest(
-        command=command,
-        config=config,
-        master_seed=seed,
-        input_digest=None if source is None else _sha256_file(source),
-        outputs=[str(out) for out in outputs],
-        versions={"artifact": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
-    ).write(path)
+    is the input file whose digest it records, or None.  The digest is the
+    SHA-256 of the other fields' canonical JSON (sorted keys, no spaces)."""
+    fields = {
+        "command": command,
+        "config": config,
+        "master_seed": seed,
+        "input_digest": None if source is None else _sha256_file(source),
+        "outputs": [str(out) for out in outputs],
+        "versions": {"artifact": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+    }
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    Path(path).write_text(json.dumps({"digest": digest, **fields}, sort_keys=True, indent=2) + "\n")
+    return digest
 
 
 def _load_signal(path, layout: Layout):

@@ -22,6 +22,7 @@ mean.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class BlockLSPredictorConfig:
     block_size: int = 16
 
     def __post_init__(self):
+        try:
+            operator.index(self.block_size)
+        except TypeError:
+            raise ValueError(f"block_size must be an integer, got {self.block_size!r}") from None
         if self.block_size < 2:
             raise ValueError("block_size must be >= 2")
 
@@ -68,14 +73,13 @@ def _shift_right(rows: np.ndarray) -> np.ndarray:
 def predict_row(flt: RowFilter, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Predict a row from its upper and lower neighbors.
 
-    Accepts single rows or stacks of rows (leading axes are batch).
+    Accepts single rows or stacks of rows (leading axes are batch).  On a row
+    of one sample the clamped edges make every filter (upper + lower)/2.
     """
     upper = np.asarray(upper, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
     if upper.shape != lower.shape:
         raise ValueError(f"row shapes differ: {upper.shape} vs {lower.shape}")
-    if upper.shape[-1] < 2:
-        raise ValueError("rows must have length >= 2")
     if flt.kind == "P1":
         return 0.5 * (upper + lower)
     vertical = upper + lower

@@ -28,6 +28,7 @@ between a cross-slice analysis and synthesis, and the joint solve converges
 like a sweep.
 """
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -61,6 +62,10 @@ class ReconConfig:
     def __post_init__(self):
         if self.init not in (INIT_SEPARATE, INIT_KCS):
             raise ValueError(f"unknown init strategy {self.init!r}")
+        try:
+            operator.index(self.max_outer_iters)
+        except TypeError:
+            raise ValueError(f"max_outer_iters must be an integer, got {self.max_outer_iters!r}") from None
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if not 0 < self.convergence_tol < np.inf:

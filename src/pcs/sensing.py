@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from . import solvers, transforms
+from . import solvers
 from .signals import Cube3D, Image2D
 
 
@@ -234,9 +234,9 @@ def acquire_spectral_rows_3d(cube: Cube3D, ensemble: SeededSensingEnsemble) -> M
 # --- block-diagonal operator (Kronecker CS) ---------------------------------
 
 class BlockDiagOperator:
-    """diag(Phi^0, ..., Phi^{S-1}) for callers outside pcs: a view of the operator
-    every l1 solve applies, solvers.BatchedOperator(stack, "identity"), over the
-    whole stack drawn once.  It has shape, dtype, matvec and rmatvec, so scipy's
+    """diag(Phi^0, ..., Phi^{S-1}) on flat vectors, for callers outside pcs: the
+    independent slices of solvers.BatchedOperator(stack) over the whole stack
+    drawn once.  It has shape, dtype, matvec and rmatvec, so scipy's
     aslinearoperator accepts it.  A stack over MATRIX_BUDGET_BYTES is refused."""
 
     def __init__(self, ensemble: SeededSensingEnsemble):
@@ -244,7 +244,7 @@ class BlockDiagOperator:
         self.ensemble = ensemble
         self.shape = (s * ensemble.m, s * ensemble.n)
         self.dtype = np.dtype(np.float64)
-        self._op = solvers.BatchedOperator(draw_sensing_stack(ensemble, 0, s), transforms.IDENTITY)
+        self._op = solvers.BatchedOperator(draw_sensing_stack(ensemble, 0, s))
 
     def matvec(self, v):
         return self._op.forward(_stacked(v, self.shape[1])).reshape(-1)

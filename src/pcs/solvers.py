@@ -5,11 +5,12 @@ solve_l1 minimizes ||theta||_1 subject to A*Psi*theta = y: basis pursuit
 runs one algorithm, ADMM on the exact projection onto its constraints
 (_admm_batch), over one operator, BatchedOperator: a stack of per-slice
 matrices that poses either independent per-slice problems or one joint
-Kronecker problem.  solve_l1_batch takes the operator's own arguments, the
-stack and a cross-slice factor; a per-slice basis is the caller's to compose
-into the stack (row k of Phi_s*Psi is the analysis transform of row k of
-Phi_s).  The reconstruction composes its stack as it draws it, and passes no
-cross-slice factor to the sweeps and the cross-slice DCT to the Kronecker
+Kronecker problem with the DCT across slices.  solve_l1_batch takes the
+operator's own arguments, the stack and a cross-slice factor (None or
+"dct"); a per-slice basis is the caller's to compose into the stack (row k
+of Phi_s*Psi is the analysis transform of row k of Phi_s).  The
+reconstruction composes its stack as it draws it, and passes no cross-slice
+factor to the sweeps and the cross-slice DCT to the Kronecker
 initialization.  solve_l1 and solve_omp take a dense matrix and a basis,
 which they compose into it (_dense_problem).
 
@@ -30,6 +31,7 @@ solve_omp is the greedy baseline, an independent route to check the convex
 solver against.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,10 @@ class SolveConfig:
     def __post_init__(self):
         if not (0 < self.feasibility_tol < np.inf and 0 < self.objective_tol < np.inf):
             raise ValueError("tolerances must be finite and > 0")
+        try:
+            operator.index(self.max_solver_iters)
+        except TypeError:
+            raise ValueError(f"max_solver_iters must be an integer, got {self.max_solver_iters!r}") from None
         if self.max_solver_iters < 1:
             raise ValueError("max_solver_iters must be >= 1")
 
@@ -90,12 +96,13 @@ class BatchedOperator:
     """The sensing operator of every l1 solve: a stack of per-slice matrices.
 
     phi has shape (S, m, n).  With cross None the S problems are independent:
-    forward maps coefficient rows (S, n) to measurement rows (S, m).  A
-    cross-slice factor ("identity" or "dct") makes one problem (Kronecker CS)
-    in the joint basis Psi_cross (x) I: forward synthesizes the stacked
-    vector (1, S*n) across slices, applies each slice's matrix to its segment
-    and returns (1, S*m).  A per-slice basis belongs in the matrices, composed
-    by the caller, since blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
+    forward maps coefficient rows (S, n) to measurement rows (S, m).  With
+    cross "dct" the S slices make one problem (Kronecker CS) in the joint
+    basis Psi_cross (x) I, Psi_cross the DCT across slices: forward
+    synthesizes the stacked vector (1, S*n) across slices, applies each
+    slice's matrix to its segment and returns (1, S*m).  A per-slice basis
+    belongs in the matrices, composed by the caller, since
+    blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
     blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A phi that is not 3-D, or
     another cross-slice factor, is refused.  A cross-slice DCT over at most
     _DENSE_CROSS_MAX slices is applied as one S x S matrix product on the
@@ -114,10 +121,10 @@ class BatchedOperator:
         if cross is None:
             self.joint, self.batch, self.m, self.n = False, slices, m, n
             return
-        if cross not in (transforms.IDENTITY, transforms.DCT):
+        if cross != transforms.DCT:
             raise ValueError(f"unknown cross-slice factor {cross!r}")
         self.joint, self.batch, self.m, self.n = True, 1, slices * m, slices * n
-        if cross == transforms.DCT and slices <= _DENSE_CROSS_MAX:
+        if slices <= _DENSE_CROSS_MAX:
             self._dense = transforms.dct_matrix(slices)
 
     def synthesize(self, theta: np.ndarray) -> np.ndarray:
@@ -125,7 +132,7 @@ class BatchedOperator:
         x = theta.reshape(self.phi.shape[0], -1)
         if self._dense is not None:
             x = self._dense.T @ x
-        elif self.cross == transforms.DCT:
+        elif self.joint:
             x = dct(x, type=3, axis=0, norm="ortho")
         return x
 
@@ -134,7 +141,7 @@ class BatchedOperator:
         x = x.reshape(self.phi.shape[0], -1)
         if self._dense is not None:
             x = self._dense @ x
-        elif self.cross == transforms.DCT:
+        elif self.joint:
             x = dct(x, type=2, axis=0, norm="ortho")
         return x.reshape(self.batch, self.n)
 
@@ -180,7 +187,7 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     projects onto the least-squares solutions of B_s theta = yhat_s.  One
     slice at a time, so only the Q^T stack and a few m x m matrices are held.
 
-    A joint problem factors every slice.  Its cross-slice factor is
+    A joint problem factors every slice.  Its cross-slice DCT is
     orthonormal, so BatchedOperator(Q^T, op.cross) turns P into the exact
     projection onto the joint constraints, Psi_cross^T P Psi_cross, and its
     gap is the l2 norm of the slices' gaps, its rank the sum of theirs.
@@ -367,9 +374,9 @@ def solve_l1_batch(phi: np.ndarray, cross: str | None, y: np.ndarray,
     phi: (S, m, n) stack of sensing matrices, each already composed with the
     per-slice basis.  With cross None y is (S, m) and the S problems are
     independent; the reconstruction sweeps use this, where every row/band
-    poses the same sized problem.  With a cross-slice factor ("identity" or
-    "dct") y is (1, S*m) and the result is one joint problem in the basis
-    Psi_cross (x) I, as in the Kronecker initialization.
+    poses the same sized problem.  With cross "dct" y is (1, S*m) and the
+    result is one joint problem in the basis Psi_cross (x) I, Psi_cross the
+    DCT across slices, as in the Kronecker initialization.
     """
     cfg = cfg or SolveConfig()
     op = BatchedOperator(phi, cross)

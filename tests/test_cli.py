@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from pcs import cli, dataio, metrics, recon, sensing
 from pcs.cli import main, parse_suite
+from pcs.signals import Cube3D, Image2D
 
 
 @pytest.fixture
@@ -211,6 +213,21 @@ class TestReconstruct:
         assert main(["reconstruct", "s.pcsm", *flags, "--iters", "1", "-o", "srec"]) == 0
         assert calls == entry_points
         assert dataio.load_cube(workdir / "srec.pcs3").samples.shape == shape
+
+    @pytest.mark.parametrize("layout", ["rows2d", "spectralrows3d"])
+    def test_slices_one_sample_long(self, workdir, layout):
+        # a one-column image, or a cube of 1 x 1 spectral rows: each slice is
+        # one sample, which its one measurement determines
+        if layout == "rows2d":
+            dataio.save_image(Image2D(np.arange(0.0, 240.0, 30.0).reshape(8, 1)), "one.pgm")
+            signal = "one.pgm"
+        else:
+            dataio.save_cube(Cube3D(np.linspace(0.0, 1.0, 8).reshape(8, 1, 1)), "one.pcs3")
+            signal = "one.pcs3"
+        assert main(["acquire", signal, "--layout", layout, "-m", "1", "--non-compressive", "-o", "s.pcsm"]) == 0
+        assert main(["reconstruct", "s.pcsm", "--iters", "3", "--truth", signal, "-o", "srec"]) == 0
+        final_mse = float((workdir / "srec.report.csv").read_text().splitlines()[-1].split(",")[1])
+        assert final_mse < 1e-28
 
     def test_unconverged_list_format(self):
         assert cli._unconverged_list([(0, 0), (1, 17), (1, 45)], sensing.Layout.ROWS_2D) == \
@@ -481,24 +498,22 @@ def test_default_profile_same_in_every_copy():
     assert cli._recon_config(cell) == recon.ReconConfig(max_outer_iters=8)
 
 
-def test_manifest_digest_stable():
-    manifest = cli.RunManifest(
-        command="x",
-        config={"a": 1},
-        master_seed=5,
-        input_digest="d",
-        outputs=["o"],
-        versions={"artifact": "0.1.0"},
-    )
-    again = cli.RunManifest(
-        command="x",
-        config={"a": 1},
-        master_seed=5,
-        input_digest="d",
-        outputs=["o"],
-        versions={"artifact": "0.1.0"},
-    )
-    assert manifest.digest() == again.digest()
+def test_written_manifest_digest_is_the_sha256_of_its_canonical_fields(workdir):
+    # the digest that every CSV embeds is recomputable from the manifest file
+    # alone: the SHA-256 of the other six fields as canonical JSON
+    (workdir / "in.bin").write_bytes(b"input")
+    digest = cli._write_manifest(workdir / "run.manifest.json", "x", {"b": [1, 2], "a": 1.5}, 5,
+                                 workdir / "in.bin", ["o.csv"])
+    text = (workdir / "run.manifest.json").read_text()
+    assert text.endswith("}\n")
+    manifest = json.loads(text)
+    assert set(manifest) == {"digest", "command", "config", "master_seed", "input_digest", "outputs",
+                             "versions"}
+    fields = {key: value for key, value in manifest.items() if key != "digest"}
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    assert manifest["digest"] == hashlib.sha256(canonical).hexdigest() == digest
+    assert manifest["input_digest"] == hashlib.sha256(b"input").hexdigest()
+    assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 def test_traced_entry_points_resolve():

@@ -76,11 +76,21 @@ class TestRowFilters:
             RowFilter("P4")
         with pytest.raises(ValueError):
             predict_row(P1, np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            predict_row(P1, np.zeros(1), np.zeros(1))
+        # a row of one sample is predicted too: the clamped edges make every
+        # filter the mean of the two neighbors
+        for flt in (P1, P2, P3):
+            np.testing.assert_allclose(predict_row(flt, np.array([0.25]), np.array([1.75])), [1.0],
+                                       rtol=1e-15)
 
 
 class TestBlockLS:
+    @pytest.mark.parametrize("bad", [4.5, np.float64(4.0), "8"])
+    def test_non_integer_block_size_refused(self, bad):
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            BlockLSPredictorConfig(block_size=bad)
+        # numpy integers are integers
+        assert BlockLSPredictorConfig(block_size=np.int64(4)).block_size == 4
+
     def test_affine_band_predicted_exactly(self):
         rng = np.random.default_rng(3)
         ref = rng.random((16, 16))

@@ -36,6 +36,14 @@ def test_non_finite_convergence_tol_refused(bad):
         ReconConfig(convergence_tol=bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), "8"])
+def test_non_integer_outer_iteration_count_refused(bad):
+    with pytest.raises(ValueError, match="max_outer_iters must be an integer"):
+        ReconConfig(max_outer_iters=bad)
+    # numpy integers are integers
+    assert ReconConfig(max_outer_iters=np.int64(3)).max_outer_iters == 3
+
+
 class TestGainDb:
     def test_equal_mse_is_zero(self):
         assert gain_db(0.5, 0.5) == 0.0
