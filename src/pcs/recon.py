@@ -185,6 +185,9 @@ def _residual_sweep(
         # prediction leaves ~1e-16 ||y||, noise the solver would chase
         e_y[np.linalg.norm(e_y, axis=1) <= 1e-12 * np.linalg.norm(y, axis=1)] = 0.0
         state = solvers.solve_l1_batch(b, None, e_y, solver_cfg)
+        # a drawn chunk is released before the next is drawn, so a sweep
+        # holds one chunk and the solver's one block of its factor
+        del b
         e_x = transforms.synthesize(basis, state.theta)
         new_slices[i0:i1] = pred_slices[i0:i1] + e_x
         warnings.extend(int(i0 + j) for j in np.flatnonzero(~state.converged))

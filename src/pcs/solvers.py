@@ -24,8 +24,14 @@ l1.  For m >= n of full rank the projection is the least-squares point, so
 it is ADMM's first candidate and the solve stops at its first check with it:
 converged when the system is consistent, not converged when it is not.
 Problems in a batch are solved independently: each leaves the batch at its
-own stop, with a result that does not depend on the batch.  Each solver
-refuses measurements holding a NaN or an infinity before it starts.
+own stop, with a result that does not depend on the batch.  So independent
+problems are solved in consecutive blocks of at most _BLOCK_BYTES of the
+factor, each factored and iterated to its end before the next: a solve
+holds one block of the factor, which stays in a core's cache across its
+iterations, and its results are those of the whole batch, bit for bit.  A
+joint problem couples every slice and is one block.  Each solver refuses
+measurements holding a NaN or an infinity, and BatchedOperator a stack
+without slices or with slices of length 0, before it starts.
 
 solve_omp is the greedy baseline, an independent route to check the convex
 solver against.
@@ -50,6 +56,11 @@ _DENSE_CROSS_MAX = 128
 # a slice with m < n whose bound on cond(B_s B_s^T) is at most 1/sqrt(eps)
 # is factored by Cholesky; its Gram matrix keeps at least half its digits
 _CHOLESKY_COND_MAX = np.finfo(np.float64).eps ** -0.5
+# independent problems are factored and iterated in blocks of at most this
+# many bytes of Q^T, so that a block stays in a core's 2 MiB L2 cache across
+# its iterations; each block repeats the per-iteration Python work, which
+# made blocks of 512 KiB and less slower on 32 x 128 slices
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,13 @@ class BatchedOperator:
     slice's matrix to its segment and returns (1, S*m).  A per-slice basis
     belongs in the matrices, composed by the caller, since
     blockdiag(Phi_s)*(Psi_cross (x) Psi_slice) =
-    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A phi that is not 3-D, or
-    another cross-slice factor, is refused.  A cross-slice DCT over at most
-    _DENSE_CROSS_MAX slices is applied as one S x S matrix product on the
-    (S, n) array of segments; over more slices the S^2*n product costs more
-    than a DCT along the slice axis of that array, which then runs instead.
+    blockdiag(Phi_s*Psi_slice)*(Psi_cross (x) I).  A phi that is not 3-D,
+    that has no slices or slices of length 0, or another cross-slice factor,
+    is refused; m = 0 poses problems that theta = 0 answers.  A cross-slice
+    DCT over at most _DENSE_CROSS_MAX slices is applied as one S x S matrix
+    product on the (S, n) array of segments; over more slices the S^2*n
+    product costs more than a DCT along the slice axis of that array, which
+    then runs instead.
     """
 
     def __init__(self, phi: np.ndarray, cross: str | None = None):
@@ -115,8 +128,11 @@ class BatchedOperator:
         if self.phi.ndim != 3:
             raise ValueError(f"phi must be a 3-D stack (S, m, n) of sensing matrices, "
                              f"got shape {self.phi.shape}")
-        self.cross = cross
         slices, m, n = self.phi.shape
+        if slices == 0 or n == 0:
+            raise ValueError(f"phi of shape {self.phi.shape} poses no problem: it needs at least "
+                             f"one slice, of length at least 1")
+        self.cross = cross
         self._dense = None
         if cross is None:
             self.joint, self.batch, self.m, self.n = False, slices, m, n
@@ -234,14 +250,21 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     """Basis pursuit by ADMM on the exact projection (Boyd et al. 2011, 6.2).
 
     Each slice's rows are factored once (_row_space, by Cholesky or eigh)
-    into an orthonormal stack Q^T that this function owns, applied through a
-    BatchedOperator over Q^T with op.cross, so the iterations need no power
-    iteration and no step sizes.  With P(v) = v - Q(Q^T v - yq) the
-    projection onto the constraints, each iteration is
+    into an orthonormal stack Q^T, applied through a BatchedOperator over Q^T
+    with op.cross, so the iterations need no power iteration and no step
+    sizes.  With P(v) = v - Q(Q^T v - yq) the projection onto the
+    constraints, each iteration is
         x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z,
     with soft(v, t) = sign(v)*max(|v| - t, 0).  z and u are updated in
     place, and z - u, x + u and x - z share one buffer, so an iteration
     allocates only the two applies' outputs and the residual between them.
+
+    Independent problems are solved in consecutive blocks (_admm_block) of
+    at most _BLOCK_BYTES of Q^T, and at least one problem each: every block
+    is factored and iterated to its own last stop before the next is
+    factored, so only one block of Q^T is held, and it stays in a core's
+    cache across its iterations.  A joint problem is one problem, so one
+    block: its cross-slice DCT couples every slice at every iteration.
 
     At each check the candidate is P(z), feasible to rounding, and the
     result is the candidate of lowest l1 (best); a problem is done, and
@@ -252,84 +275,95 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     n (so m >= n), P(v) is the least-squares point for every v, so the solve
     is done at its first check.  A problem that leaves the working set has
     its Q^T rows overwritten by compaction in place, so every row operation
-    is per problem and a result is bit-identical alone or in any batch.  The
-    reported residual is recomputed on the caller's stack; of the checks
-    themselves only the iteration count is kept.
+    is per problem and a result is bit-identical alone, in any batch and in
+    any block.  The reported residual is recomputed on the caller's stack;
+    of the checks themselves only the iteration count is kept.
     """
     y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
     ynorm = np.linalg.norm(y, axis=1)
-    bound = cfg.feasibility_tol * ynorm
     # theta = 0 answers zero measurements: feasible with minimal l1
     theta = np.zeros((op.batch, op.n))
     iterations = np.zeros(op.batch, dtype=np.int64)
     stopped = ynorm == 0
     work = np.flatnonzero(ynorm > 0)
-    if work.size:
-        # the iteration is not scale-equivariant (the soft-threshold has a
-        # fixed size), so it runs on y/||y||
-        yscale = ynorm[work]
-        qt, rank, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
-        thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
-        z = np.zeros((work.size, op.n))
-        u = np.zeros((work.size, op.n))
-        # z - u, then x + u, then x - z
-        v = np.empty((work.size, op.n))
-        best = np.full(work.size, np.inf)
-        prev_obj = np.full(work.size, np.inf)
-        proj = BatchedOperator(qt, op.cross)
-
-        # gap is fixed by the factorization: whether a problem can ever be
-        # feasible is known now, and one that cannot leaves at its first check
-        infeasible = gap * yscale > bound[work]
-        # a full-rank system has one feasible point, its first candidate
-        determined = rank == op.n
-        k = 0
-        while k < cfg.max_solver_iters:
-            k += 1
-            np.subtract(z, u, out=v)
-            x = proj.adjoint(proj.forward(v) - yq)
-            np.subtract(v, x, out=x)
-            np.add(x, u, out=v)
-            # z = soft(v, thresh); copysign differs from sign only at v = -0,
-            # which x + u never is: u starts at +0, and a sum is -0 only when
-            # both its terms are
-            np.abs(v, out=z)
-            z -= thresh
-            np.maximum(z, 0.0, out=z)
-            np.copysign(z, v, out=z)
-            np.subtract(x, z, out=v)
-            u += v
-            last = k == cfg.max_solver_iters
-            if k % _CHECK_EVERY == 0 or last:
-                cand = z - proj.adjoint(proj.forward(z) - yq)
-                obj = np.abs(cand).sum(axis=1) * yscale
-                iterations[work] = k
-                # an infeasible problem's one candidate is taken as well
-                better = obj < best
-                theta[work[better]] = cand[better] * yscale[better, None]
-                best = np.where(better, obj, best)
-                rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
-                done = ~infeasible & (determined | (rel_dec <= cfg.objective_tol))
-                prev_obj = obj
-                stopped[work[done]] = True
-                kidx = np.flatnonzero(~(done | infeasible))
-                if last or kidx.size == 0:
-                    break
-                if kidx.size < work.size:
-                    work, yscale, infeasible, determined, best, prev_obj, z, u, yq = (
-                        arr[kidx]
-                        for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u, yq))
-                    v = v[:kidx.size]
-                    # compact the Q^T buffer in place: kidx ascends, so no
-                    # row is overwritten before it is moved
-                    for j, s in enumerate(kidx):
-                        if j != s:
-                            qt[j] = qt[s]
-                    proj = BatchedOperator(qt[:kidx.size], op.cross)
-
+    # a slice of Q^T takes as many bytes as a slice of B (none when m = 0,
+    # where every problem is answered by theta = 0)
+    per_block = max(1, _BLOCK_BYTES // max(op.phi[0].nbytes, 1))
+    for lo in range(0, work.size, per_block):
+        _admm_block(op, y, ynorm, work[lo:lo + per_block], cfg, theta, iterations, stopped)
     residual = np.linalg.norm(op.forward(theta) - y, axis=1)
     return BatchSolveState(theta=theta, residual=residual, iterations=iterations,
-                           converged=stopped & (residual <= bound))
+                           converged=stopped & (residual <= cfg.feasibility_tol * ynorm))
+
+
+def _admm_block(op, y, ynorm, work, cfg, theta, iterations, stopped) -> None:
+    """_admm_batch's iterations on the problems in work, a block of op's batch.
+
+    Factors the block's slices and iterates until each of its problems
+    stops, writing each problem's result, iteration count and stop into
+    theta, iterations and stopped, indexed by op's batch.
+    """
+    # the iteration is not scale-equivariant (the soft-threshold has a
+    # fixed size), so it runs on y/||y||
+    yscale = ynorm[work]
+    qt, rank, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
+    thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
+    z = np.zeros((work.size, op.n))
+    u = np.zeros((work.size, op.n))
+    # z - u, then x + u, then x - z
+    v = np.empty((work.size, op.n))
+    best = np.full(work.size, np.inf)
+    prev_obj = np.full(work.size, np.inf)
+    proj = BatchedOperator(qt, op.cross)
+
+    # gap is fixed by the factorization: whether a problem can ever be
+    # feasible is known now, and one that cannot leaves at its first check
+    infeasible = gap * yscale > cfg.feasibility_tol * yscale
+    # a full-rank system has one feasible point, its first candidate
+    determined = rank == op.n
+    k = 0
+    while k < cfg.max_solver_iters:
+        k += 1
+        np.subtract(z, u, out=v)
+        x = proj.adjoint(proj.forward(v) - yq)
+        np.subtract(v, x, out=x)
+        np.add(x, u, out=v)
+        # z = soft(v, thresh); copysign differs from sign only at v = -0,
+        # which x + u never is: u starts at +0, and a sum is -0 only when
+        # both its terms are
+        np.abs(v, out=z)
+        z -= thresh
+        np.maximum(z, 0.0, out=z)
+        np.copysign(z, v, out=z)
+        np.subtract(x, z, out=v)
+        u += v
+        last = k == cfg.max_solver_iters
+        if k % _CHECK_EVERY == 0 or last:
+            cand = z - proj.adjoint(proj.forward(z) - yq)
+            obj = np.abs(cand).sum(axis=1) * yscale
+            iterations[work] = k
+            # an infeasible problem's one candidate is taken as well
+            better = obj < best
+            theta[work[better]] = cand[better] * yscale[better, None]
+            best = np.where(better, obj, best)
+            rel_dec = np.abs(prev_obj - obj) / np.maximum(obj, 1e-300)
+            done = ~infeasible & (determined | (rel_dec <= cfg.objective_tol))
+            prev_obj = obj
+            stopped[work[done]] = True
+            kidx = np.flatnonzero(~(done | infeasible))
+            if last or kidx.size == 0:
+                break
+            if kidx.size < work.size:
+                work, yscale, infeasible, determined, best, prev_obj, z, u, yq = (
+                    arr[kidx]
+                    for arr in (work, yscale, infeasible, determined, best, prev_obj, z, u, yq))
+                v = v[:kidx.size]
+                # compact the Q^T buffer in place: kidx ascends, so no
+                # row is overwritten before it is moved
+                for j, s in enumerate(kidx):
+                    if j != s:
+                        qt[j] = qt[s]
+                proj = BatchedOperator(qt[:kidx.size], op.cross)
 
 
 def _dense_problem(a, basis: SparsityBasis | None, y) -> tuple[np.ndarray, np.ndarray]:

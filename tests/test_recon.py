@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -496,6 +497,26 @@ class TestMatrixCache:
         # the Kronecker initialization needs the whole stack at once
         with pytest.raises(ValueError, match="a stack of 4 24 x 64 matrices exceeds"):
             reconstruct_3d(ms, None, replace(cfg, init=recon.INIT_KCS), ground_truth=cube)
+
+    def test_separate_init_holds_one_chunk_at_a_time(self, monkeypatch):
+        # 256 rows of 128 at m = 32 in chunks of 64 slices: four 2 MiB chunks,
+        # of which the next draw must not find the last one still held.  The
+        # solver holds one 128 KiB block of its factor, and the sweep a few
+        # signal-sized arrays
+        image = Image2D(np.random.default_rng(0).random((256, 128)))
+        ms = acquire_rows_2d(image, SeededSensingEnsemble(4, 256, 32, 128))
+        expected, _ = init_separate(ms)
+        budget = 64 * 32 * 128 * 8
+        monkeypatch.setattr(sensing, "MATRIX_BUDGET_BYTES", budget)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", budget // 16)
+        tracemalloc.start()
+        try:
+            got, _ = init_separate(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.samples, expected.samples)
+        assert peak < budget + solvers._BLOCK_BYTES + 4 * image.samples.nbytes
 
 
 class TestComposedProvider:

@@ -124,6 +124,21 @@ class TestBatchedOperator:
             with pytest.raises(ValueError, match=rf"3-D stack .* got shape {re.escape(str(stack.shape))}"):
                 BatchedOperator(stack)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 8), (3, 4, 0)], ids=["no-slices", "empty-slices"])
+    @pytest.mark.parametrize("cross", [None, tr.DCT])
+    def test_stack_posing_no_problem_refused(self, shape, cross):
+        # the solver never meets an empty batch or a slice without unknowns
+        with pytest.raises(ValueError, match=re.escape(f"phi of shape {shape} poses no problem")):
+            BatchedOperator(np.zeros(shape), cross)
+        batch, m = (shape[0], shape[1]) if cross is None else (1, shape[0] * shape[1])
+        with pytest.raises(ValueError, match=re.escape(f"phi of shape {shape} poses no problem")):
+            solve_l1_batch(np.zeros(shape), cross, np.zeros((batch, m)))
+
+    def test_slices_without_measurements_are_answered_by_zero(self):
+        state = solve_l1_batch(np.zeros((3, 0, 8)), None, np.zeros((3, 0)))
+        assert not state.theta.any() and state.theta.shape == (3, 8)
+        assert state.converged.all() and not state.iterations.any()
+
     def test_identity_cross_factor_refused(self):
         # independent slices (no cross factor) are the block-diagonal map; a
         # joint problem always has the DCT across slices
@@ -176,12 +191,17 @@ class TestBatchedOperator:
 
 
 class TestBatchIndependence:
-    @pytest.mark.parametrize("determined", [False, True])
+    # block: the solver's block size in slices, None for the default one
+    @pytest.mark.parametrize("determined, block", [
+        pytest.param(d, b, id=str(d) if b is None else f"{d}-block-{b}")
+        for b in (None, 1, 2) for d in (False, True)])
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_result_does_not_depend_on_the_batch(self, seed, determined):
+    def test_result_does_not_depend_on_the_batch(self, seed, determined, block):
         # each problem stops at its own check from the same start vector, so
-        # alone, in the full batch and in a subset it gives the same bits
+        # alone, in the full batch, in a subset and in blocks of one or two
+        # problems (the solver's block size patched to as many slices) it
+        # gives the same bits
         slices, m, n = 10, 20 if determined else 8, 16
         rng = np.random.default_rng(seed)
         phi = random_stack(seed, slices, m, n)
@@ -203,13 +223,24 @@ class TestBatchIndependence:
         subset = np.flatnonzero(rng.random(slices) < 0.5)
         eighs = []
         eigh = np.linalg.eigh
+        blocks = []
+        row_space = solvers._row_space
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigh", lambda g: eighs.append(g) or eigh(g))
+            mp.setattr(solvers, "_row_space", lambda op, yhat, work: blocks.append(work.tolist())
+                       or row_space(op, yhat, work))
+            if block is not None:
+                mp.setattr(solvers, "_BLOCK_BYTES", block * phi[0].nbytes)
             full = solve_l1_batch(phi, None, y, cfg)
-        # slice 9 measures nothing and is never factored
-        assert len(eighs) == (slices - 1 if determined else 2)
-        part = solve_l1_batch(phi[subset], None, y[subset], cfg)
-        runs = [(s, solve_l1_batch(phi[s:s + 1], None, y[s:s + 1], cfg), 0) for s in range(slices)]
+            # slice 9 measures nothing and is never factored
+            assert len(eighs) == (slices - 1 if determined else 2)
+            # slices 0-8 run in order: in one default block, or in patched
+            # blocks with a boundary between the eigh slice 7 and the
+            # infeasible slice 8
+            size = slices if block is None else block
+            assert blocks == [list(range(lo, min(lo + size, slices - 1))) for lo in range(0, slices - 1, size)]
+            part = solve_l1_batch(phi[subset], None, y[subset], cfg)
+            runs = [(s, solve_l1_batch(phi[s:s + 1], None, y[s:s + 1], cfg), 0) for s in range(slices)]
         runs += [(s, part, j) for j, s in enumerate(subset)]
         for s, state, j in runs:
             assert np.array_equal(state.theta[j], full.theta[s])
@@ -217,6 +248,29 @@ class TestBatchIndependence:
             assert state.converged[j] == full.converged[s]
         assert not full.converged[8] and full.iterations[8] == solvers._CHECK_EVERY
         assert full.converged[9] and full.iterations[9] == 0 and not full.theta[9].any()
+
+    def test_joint_solve_is_one_block(self, monkeypatch):
+        # the cross-slice DCT couples every slice at every iteration: however
+        # small the block size, a joint solve factors and iterates all slices
+        # together, with the bits of the unpatched solve
+        slices, m, n = 6, 5, 12
+        phi = random_stack(31, slices, m, n)
+        y = np.random.default_rng(32).normal(size=(1, slices * m))
+        want = solve_l1_batch(phi, tr.DCT, y)
+        factored = []
+        row_space = solvers._row_space
+
+        def spy(op, yhat, work):
+            qt, *rest = row_space(op, yhat, work)
+            factored.append((work.tolist(), qt.shape))
+            return qt, *rest
+
+        monkeypatch.setattr(solvers, "_row_space", spy)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", phi[0].nbytes)
+        got = solve_l1_batch(phi, tr.DCT, y)
+        assert factored == [([0], (slices, m, n))]
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.iterations, want.iterations) and got.iterations[0] > solvers._CHECK_EVERY
 
 
 class TestRowSpace:
@@ -262,6 +316,27 @@ class TestRowSpace:
         finally:
             tracemalloc.stop()
         assert peak < qt.nbytes + yq.nbytes + 8 * phi[0].nbytes
+
+    def test_blocked_solve_holds_one_block_of_the_factor(self, monkeypatch):
+        # 64 slices of 32 x 64 (1 MiB) in blocks of 8 slices (128 KiB): the
+        # solve holds one block of Q^T and a few (64, 64) vectors (32 KiB
+        # each), never a second stack as large as phi
+        slices, m, n = 64, 32, 64
+        phi = random_stack(8, slices, m, n)
+        theta = np.zeros((slices, n))
+        theta[:, :4] = 1.0
+        y = np.matmul(phi, theta[:, :, None])[..., 0]
+        want = solve_l1_batch(phi, None, y)
+        block = 8 * phi[0].nbytes
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            got = solve_l1_batch(phi, None, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.theta, want.theta)
+        assert peak < block + 8 * theta.nbytes
 
 
 class TestAlgorithmChoice:
