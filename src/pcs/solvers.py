@@ -29,7 +29,14 @@ problems are solved in consecutive blocks of at most _BLOCK_BYTES of the
 factor, each factored and iterated to its end before the next: a solve
 holds one block of the factor, which stays in a core's cache across its
 iterations, and its results are those of the whole batch, bit for bit.  A
-joint problem couples every slice and is one block.  Each solver refuses
+joint problem couples every slice and is one block.  The caller's
+tolerances decide the factor's precision (_factor_dtype): a compressive
+solve (m < n per slice) whose tolerances are both at least _FLOAT32_TOL,
+as on the reconstruction's sweep profile, holds its factor in float32, so
+each apply streams half the bytes and a block holds twice the slices; every
+other solve holds it in float64.  Each slice is factored in float64 either
+way, the iterates are float64, and the reported residual and converged are
+computed on the caller's float64 stack.  Each solver refuses
 measurements holding a NaN or an infinity, and BatchedOperator a stack
 without slices or with slices of length 0, before it starts.
 
@@ -57,10 +64,17 @@ _DENSE_CROSS_MAX = 128
 # is factored by Cholesky; its Gram matrix keeps at least half its digits
 _CHOLESKY_COND_MAX = np.finfo(np.float64).eps ** -0.5
 # independent problems are factored and iterated in blocks of at most this
-# many bytes of Q^T, so that a block stays in a core's 2 MiB L2 cache across
-# its iterations; each block repeats the per-iteration Python work, which
-# made blocks of 512 KiB and less slower on 32 x 128 slices
+# many bytes of Q^T as held (float32 or float64), so that a block stays in a
+# core's 2 MiB L2 cache across its iterations; each block repeats the
+# per-iteration Python work, which made blocks of 512 KiB and less slower on
+# 32 x 128 float64 slices
 _BLOCK_BYTES = 1 << 20
+# a compressive solve (m < n per slice) whose feasibility and objective
+# tolerances are both at least this, two orders above float32's rounding,
+# holds its factor Q^T in float32: each apply streams half the bytes, and
+# ADMM tolerates subproblem errors this far below its stop (Eckstein and
+# Bertsekas 1992)
+_FLOAT32_TOL = 100 * np.finfo(np.float32).eps
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,12 @@ class SolveConfig:
     plateau) by max_solver_iters and the returned theta meets the bound:
     every ADMM candidate is feasible to rounding, so meeting the bound alone
     says nothing.
+
+    The tolerances also decide the factor's precision: a compressive
+    solve (m < n per slice) with both at least _FLOAT32_TOL applies a
+    float32 factor, every other solve a float64 one (_factor_dtype).  The
+    reported residual and converged are computed on the caller's float64
+    stack either way, so converged means the bound holds in float64.
     """
 
     feasibility_tol: float = 1e-6
@@ -121,10 +141,15 @@ class BatchedOperator:
     product on the (S, n) array of segments; over more slices the S^2*n
     product costs more than a DCT along the slice axis of that array, which
     then runs instead.
+
+    A float32 stack (a solver's factor, _row_space) is kept in float32 and
+    any other is taken as float64.  The matrix products run in the stack's
+    dtype; their inputs and outputs, and the cross-slice DCT, are float64.
     """
 
     def __init__(self, phi: np.ndarray, cross: str | None = None):
-        self.phi = np.asarray(phi, dtype=np.float64)
+        phi = np.asarray(phi)
+        self.phi = phi if phi.dtype == np.float32 else phi.astype(np.float64, copy=False)
         if self.phi.ndim != 3:
             raise ValueError(f"phi must be a 3-D stack (S, m, n) of sensing matrices, "
                              f"got shape {self.phi.shape}")
@@ -162,11 +187,14 @@ class BatchedOperator:
         return x.reshape(self.batch, self.n)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
-        return np.matmul(self.phi, self.synthesize(theta)[:, :, None])[..., 0].reshape(self.batch, self.m)
+        x = self.synthesize(theta).astype(self.phi.dtype, copy=False)
+        w = np.matmul(self.phi, x[:, :, None])[..., 0]
+        return w.astype(np.float64, copy=False).reshape(self.batch, self.m)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         slices, m, _ = self.phi.shape
-        return self.analyze(np.matmul(self.phi.transpose(0, 2, 1), w.reshape(slices, m, 1))[..., 0])
+        w = w.reshape(slices, m, 1).astype(self.phi.dtype, copy=False)
+        return self.analyze(np.matmul(self.phi.transpose(0, 2, 1), w)[..., 0].astype(np.float64, copy=False))
 
 
 @dataclass
@@ -179,7 +207,16 @@ class BatchSolveState:
     converged: np.ndarray
 
 
-def _row_space(op, yhat: np.ndarray, work: np.ndarray):
+def _factor_dtype(op, cfg: SolveConfig) -> np.dtype:
+    """The dtype of op's factor Q^T under cfg: float32 for a compressive
+    problem (m < n per slice) whose tolerances are both at least
+    _FLOAT32_TOL, float64 for every other."""
+    m, n = op.phi.shape[1:]
+    loose = min(cfg.feasibility_tol, cfg.objective_tol) >= _FLOAT32_TOL
+    return np.dtype(np.float32 if m < n and loose else np.float64)
+
+
+def _row_space(op, yhat: np.ndarray, work: np.ndarray, dtype=np.float64):
     """Orthonormal rows of the row space of every slice of the problems in work.
 
     yhat holds the normalized measurements of those problems, aligned with
@@ -202,6 +239,9 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     Either way the rows of Q^T are orthonormal and P(v) = v - Q(Q^T v - yq)
     projects onto the least-squares solutions of B_s theta = yhat_s.  One
     slice at a time, so only the Q^T stack and a few m x m matrices are held.
+    Every slice is factored in float64, and its rows are written straight
+    into the Q^T stack, of the given dtype (_factor_dtype); rank, yq and gap
+    are float64 whatever it is.
 
     A joint problem factors every slice.  Its cross-slice DCT is
     orthonormal, so BatchedOperator(Q^T, op.cross) turns P into the exact
@@ -213,7 +253,7 @@ def _row_space(op, yhat: np.ndarray, work: np.ndarray):
     slices = np.arange(op.phi.shape[0]) if op.joint else work
     yhat = yhat.reshape(slices.size, -1)
     m, n = op.phi.shape[1:]
-    qt = np.zeros((slices.size, m, n))
+    qt = np.zeros((slices.size, m, n), dtype=dtype)
     yq = np.zeros(yhat.shape)
     rank = np.empty(slices.size, dtype=np.int64)
     gap = np.empty(slices.size)
@@ -257,10 +297,14 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
         x = P(z - u),  z = soft(x + u, 1/rho),  u += x - z,
     with soft(v, t) = sign(v)*max(|v| - t, 0).  z and u are updated in
     place, and z - u, x + u and x - z share one buffer, so an iteration
-    allocates only the two applies' outputs and the residual between them.
+    allocates only the two applies' outputs, with their casts to and from a
+    float32 Q^T, and the residual between them.
 
-    Independent problems are solved in consecutive blocks (_admm_block) of
-    at most _BLOCK_BYTES of Q^T, and at least one problem each: every block
+    Q^T is float32 or float64 by _factor_dtype, and only the applies read
+    it: z, u, v, the soft threshold, the l1 objective and the plateau test
+    are float64.  Independent problems are solved in consecutive blocks
+    (_admm_block) of at most _BLOCK_BYTES of Q^T as held, so a float32 block
+    holds twice the slices, and at least one problem each: every block
     is factored and iterated to its own last stop before the next is
     factored, so only one block of Q^T is held, and it stays in a core's
     cache across its iterations.  A joint problem is one problem, so one
@@ -276,7 +320,8 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     is done at its first check.  A problem that leaves the working set has
     its Q^T rows overwritten by compaction in place, so every row operation
     is per problem and a result is bit-identical alone, in any batch and in
-    any block.  The reported residual is recomputed on the caller's stack;
+    any block.  The reported residual is recomputed on the caller's float64
+    stack, so converged means the bound holds there whatever Q^T's dtype;
     of the checks themselves only the iteration count is kept.
     """
     y = np.asarray(y, dtype=np.float64).reshape(op.batch, op.m)
@@ -286,27 +331,28 @@ def _admm_batch(op, y: np.ndarray, cfg: SolveConfig) -> BatchSolveState:
     iterations = np.zeros(op.batch, dtype=np.int64)
     stopped = ynorm == 0
     work = np.flatnonzero(ynorm > 0)
-    # a slice of Q^T takes as many bytes as a slice of B (none when m = 0,
-    # where every problem is answered by theta = 0)
-    per_block = max(1, _BLOCK_BYTES // max(op.phi[0].nbytes, 1))
+    # a slice of Q^T holds as many entries as a slice of B, in its own dtype
+    # (none when m = 0, where every problem is answered by theta = 0)
+    dtype = _factor_dtype(op, cfg)
+    per_block = max(1, _BLOCK_BYTES // max(op.phi[0].size * dtype.itemsize, 1))
     for lo in range(0, work.size, per_block):
-        _admm_block(op, y, ynorm, work[lo:lo + per_block], cfg, theta, iterations, stopped)
+        _admm_block(op, y, ynorm, work[lo:lo + per_block], cfg, dtype, theta, iterations, stopped)
     residual = np.linalg.norm(op.forward(theta) - y, axis=1)
     return BatchSolveState(theta=theta, residual=residual, iterations=iterations,
                            converged=stopped & (residual <= cfg.feasibility_tol * ynorm))
 
 
-def _admm_block(op, y, ynorm, work, cfg, theta, iterations, stopped) -> None:
+def _admm_block(op, y, ynorm, work, cfg, dtype, theta, iterations, stopped) -> None:
     """_admm_batch's iterations on the problems in work, a block of op's batch.
 
-    Factors the block's slices and iterates until each of its problems
-    stops, writing each problem's result, iteration count and stop into
+    Factors the block's slices into a Q^T of the given dtype and iterates
+    until each of its problems stops, writing each problem's result, iteration count and stop into
     theta, iterations and stopped, indexed by op's batch.
     """
     # the iteration is not scale-equivariant (the soft-threshold has a
     # fixed size), so it runs on y/||y||
     yscale = ynorm[work]
-    qt, rank, yq, gap = _row_space(op, y[work] / yscale[:, None], work)
+    qt, rank, yq, gap = _row_space(op, y[work] / yscale[:, None], work, dtype)
     thresh = 1.0 / (_ADMM_RHO * np.sqrt(op.n))
     z = np.zeros((work.size, op.n))
     u = np.zeros((work.size, op.n))
@@ -413,7 +459,7 @@ def solve_l1_batch(phi: np.ndarray, cross: str | None, y: np.ndarray,
     DCT across slices, as in the Kronecker initialization.
     """
     cfg = cfg or SolveConfig()
-    op = BatchedOperator(phi, cross)
+    op = BatchedOperator(np.asarray(phi, dtype=np.float64), cross)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.batch, op.m):
         raise ValueError(f"y shape {y.shape} does not match batch ({op.batch}, {op.m})")

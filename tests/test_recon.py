@@ -156,17 +156,22 @@ class TestInitKCS:
     def test_matches_the_joint_solve_on_raw_matrices(self, monkeypatch, acquire, scene, ens):
         # the composed stack with only the cross-slice factor inside the
         # operator poses the same problem as the materialized block-diagonal
-        # raw matrix with the full joint basis, solved as one dense problem
+        # raw matrix with the full joint basis, solved as one dense problem.
+        # The posing does not depend on the factor's precision, and the two
+        # posings' float32 factors round apart, so both sides run the sweep
+        # profile with an objective_tol that takes a float64 factor
         ms = acquire(scene(), ens)
         joint = joint_basis(ms)
-        raw = solvers.solve_l1(dense_block_diag(ens), joint, ms.y.reshape(-1), recon.DEFAULT_SWEEP_SOLVER)
+        cfg = replace(recon.DEFAULT_SWEEP_SOLVER, objective_tol=1e-6)
+        assert cfg.objective_tol < solvers._FLOAT32_TOL
+        raw = solvers.solve_l1(dense_block_diag(ens), joint, ms.y.reshape(-1), cfg)
         want = sensing.signal_from_slices(
             transforms.synthesize(joint, raw.theta_hat).reshape(ens.num_slices, ens.n), ms.layout,
             ms.signal_shape)
         states = []
         solve = solvers.solve_l1_batch
         monkeypatch.setattr(solvers, "solve_l1_batch", lambda *a: states.append(solve(*a)) or states[-1])
-        rec, unconverged = init_kcs(ms)
+        rec, unconverged = init_kcs(ms, solver_cfg=cfg)
         assert np.linalg.norm(rec.samples - want) <= 1e-10 * np.linalg.norm(want)
         assert states[0].iterations[0] == raw.iterations
         assert (unconverged == []) == states[0].converged[0] == raw.converged

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import block_diag
 
 from pcs import solvers
 from pcs import transforms as tr
+from pcs.recon import DEFAULT_SWEEP_SOLVER
 from pcs.solvers import (
     BatchedOperator,
     SolveConfig,
@@ -200,8 +202,9 @@ class TestBatchIndependence:
     def test_result_does_not_depend_on_the_batch(self, seed, determined, block):
         # each problem stops at its own check from the same start vector, so
         # alone, in the full batch, in a subset and in blocks of one or two
-        # problems (the solver's block size patched to as many slices) it
-        # gives the same bits
+        # problems (the solver's block size patched to as many slices of the
+        # factor: float32 in the compressive case under the sweep
+        # tolerances, float64 in the determined one) it gives the same bits
         slices, m, n = 10, 20 if determined else 8, 16
         rng = np.random.default_rng(seed)
         phi = random_stack(seed, slices, m, n)
@@ -227,10 +230,11 @@ class TestBatchIndependence:
         row_space = solvers._row_space
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigh", lambda g: eighs.append(g) or eigh(g))
-            mp.setattr(solvers, "_row_space", lambda op, yhat, work: blocks.append(work.tolist())
-                       or row_space(op, yhat, work))
+            mp.setattr(solvers, "_row_space", lambda op, yhat, work, dtype: blocks.append(work.tolist())
+                       or row_space(op, yhat, work, dtype))
             if block is not None:
-                mp.setattr(solvers, "_BLOCK_BYTES", block * phi[0].nbytes)
+                itemsize = 8 if determined else 4
+                mp.setattr(solvers, "_BLOCK_BYTES", block * phi[0].size * itemsize)
             full = solve_l1_batch(phi, None, y, cfg)
             # slice 9 measures nothing and is never factored
             assert len(eighs) == (slices - 1 if determined else 2)
@@ -249,28 +253,31 @@ class TestBatchIndependence:
         assert not full.converged[8] and full.iterations[8] == solvers._CHECK_EVERY
         assert full.converged[9] and full.iterations[9] == 0 and not full.theta[9].any()
 
-    def test_joint_solve_is_one_block(self, monkeypatch):
+    def test_joint_solve_is_one_block(self):
         # the cross-slice DCT couples every slice at every iteration: however
         # small the block size, a joint solve factors and iterates all slices
-        # together, with the bits of the unpatched solve
+        # together, with the bits of the unpatched solve, with a float64
+        # factor and with the sweep tolerances' float32 one
         slices, m, n = 6, 5, 12
         phi = random_stack(31, slices, m, n)
         y = np.random.default_rng(32).normal(size=(1, slices * m))
-        want = solve_l1_batch(phi, tr.DCT, y)
-        factored = []
         row_space = solvers._row_space
+        for cfg, dtype in ((SolveConfig(), np.float64), (DEFAULT_SWEEP_SOLVER, np.float32)):
+            want = solve_l1_batch(phi, tr.DCT, y, cfg)
+            factored = []
 
-        def spy(op, yhat, work):
-            qt, *rest = row_space(op, yhat, work)
-            factored.append((work.tolist(), qt.shape))
-            return qt, *rest
+            def spy(op, yhat, work, dtype):
+                qt, *rest = row_space(op, yhat, work, dtype)
+                factored.append((work.tolist(), qt.shape, qt.dtype))
+                return qt, *rest
 
-        monkeypatch.setattr(solvers, "_row_space", spy)
-        monkeypatch.setattr(solvers, "_BLOCK_BYTES", phi[0].nbytes)
-        got = solve_l1_batch(phi, tr.DCT, y)
-        assert factored == [([0], (slices, m, n))]
-        assert np.array_equal(got.theta, want.theta)
-        assert np.array_equal(got.iterations, want.iterations) and got.iterations[0] > solvers._CHECK_EVERY
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "_row_space", spy)
+                mp.setattr(solvers, "_BLOCK_BYTES", phi[0].size * 4)
+                got = solve_l1_batch(phi, tr.DCT, y, cfg)
+            assert factored == [([0], (slices, m, n), dtype)]
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.iterations, want.iterations) and got.iterations[0] > solvers._CHECK_EVERY
 
 
 class TestRowSpace:
@@ -337,6 +344,145 @@ class TestRowSpace:
             tracemalloc.stop()
         assert np.array_equal(got.theta, want.theta)
         assert peak < block + 8 * theta.nbytes
+
+    def test_float32_factor_is_written_in_place(self, monkeypatch):
+        # under the sweep tolerances the factor is float32: a blocked solve
+        # of 16 slices of 32 x 256 in blocks of 8 (256 KiB as float32) and a
+        # joint solve of 12 slices of 64 x 256 each hold their factor at
+        # half the float64 factor's bytes, never a float64 copy beside it
+        phi = random_stack(8, 16, 32, 256)
+        theta = np.zeros((16, 256))
+        theta[:, :4] = 1.0
+        y = np.matmul(phi, theta[:, :, None])[..., 0]
+        # 8 float32 slices: half the bytes of their float64 factor
+        block = 8 * phi[0].size * 4
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            solve_l1_batch(phi, None, y, DEFAULT_SWEEP_SOLVER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 8 * theta.nbytes
+        # a joint problem is one block, and its slices are factored one at a
+        # time in float64: a slice's temporaries take one or two slices
+        phi = random_stack(9, 12, 64, 256)
+        y = np.random.default_rng(3).normal(size=(1, 12 * 64))
+        tracemalloc.start()
+        try:
+            state = solve_l1_batch(phi, tr.DCT, y, DEFAULT_SWEEP_SOLVER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes // 2 + 2 * phi[0].nbytes + 8 * state.theta.nbytes
+
+
+class TestFactorPrecision:
+    @staticmethod
+    def factor_dtypes(monkeypatch):
+        # the dtype of every stack a BatchedOperator takes inside the solver:
+        # the caller's, then each block's factor
+        seen = []
+
+        class Spy(BatchedOperator):
+            def __init__(self, phi, cross=None):
+                super().__init__(phi, cross)
+                seen.append(self.phi.dtype)
+
+        monkeypatch.setattr(solvers, "BatchedOperator", Spy)
+        return seen
+
+    @pytest.mark.parametrize("cross", [None, tr.DCT])
+    def test_sweep_profile_compressive_solve_factors_in_float32(self, monkeypatch, cross):
+        # the caller's stack is taken as float64, a float32 one as well, and
+        # the factor is float32; the applies return float64
+        phi = random_stack(40, 4, 8, 24).astype(np.float32)
+        y = np.random.default_rng(41).normal(size=(4, 8)).reshape(1 if cross else 4, -1)
+        seen = self.factor_dtypes(monkeypatch)
+        state = solve_l1_batch(phi, cross, y, DEFAULT_SWEEP_SOLVER)
+        assert seen[0] == np.float64 and len(seen) > 1
+        assert all(dtype == np.float32 for dtype in seen[1:])
+        assert state.theta.dtype == np.float64 and state.converged.all()
+
+    @pytest.mark.parametrize("m, cfg", [
+        (8, SolveConfig()),
+        (24, DEFAULT_SWEEP_SOLVER),
+        (32, DEFAULT_SWEEP_SOLVER),
+        (8, replace(DEFAULT_SWEEP_SOLVER, feasibility_tol=solvers._FLOAT32_TOL / 2)),
+        (8, replace(DEFAULT_SWEEP_SOLVER, objective_tol=solvers._FLOAT32_TOL / 2)),
+    ], ids=["default", "square", "overdetermined", "tight-feasibility", "tight-objective"])
+    def test_other_solves_keep_a_float64_factor(self, monkeypatch, m, cfg):
+        # the default tolerances, m >= n, and one tolerance below the
+        # constant: the factor is float64, with the bits of a solve whose
+        # float32 rule can never fire
+        phi = random_stack(42, 4, m, 24)
+        y = np.matmul(phi, np.random.default_rng(43).normal(size=(4, 24, 1)))[..., 0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_FLOAT32_TOL", np.inf)
+            want = solve_l1_batch(phi, None, y, cfg)
+        seen = self.factor_dtypes(monkeypatch)
+        got = solve_l1_batch(phi, None, y, cfg)
+        assert len(seen) > 1 and all(dtype == np.float64 for dtype in seen)
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.iterations, want.iterations)
+
+    def test_the_rule_is_at_least_the_constant(self):
+        op = BatchedOperator(random_stack(44, 2, 3, 5))
+        at = SolveConfig(feasibility_tol=solvers._FLOAT32_TOL, objective_tol=solvers._FLOAT32_TOL)
+        assert solvers._factor_dtype(op, at) == np.float32
+        assert solvers._factor_dtype(op, replace(at, objective_tol=np.nextafter(at.objective_tol, 0))) == np.float64
+        assert solvers._factor_dtype(BatchedOperator(random_stack(44, 2, 5, 5)), at) == np.float64
+
+    @pytest.mark.parametrize("seed, slices, m, n", [(0, 128, 32, 128), (6, 128, 32, 128), (0, 12, 144, 576)],
+                             ids=["rows2d-0", "rows2d-6", "bands3d-0"])
+    def test_float32_solve_agrees_with_the_float64_solve(self, monkeypatch, seed, slices, m, n):
+        # compressible slices (magnitudes k^-1.5 in random order and signs)
+        # sized as the benchmark's rows and bands, under the sweep profile.
+        # A problem that stops at the same check as in float64 agrees with
+        # it to 1e-5 in l1 (at most 1.6e-7 on seeds 0-11).  Its theta may
+        # move further along a face where l1 is flat (one row of seed 6,
+        # 9e-4), and a problem whose plateau test fires at another check
+        # (one row of seed 0) moves by the stop's own size (l1 1.5e-4,
+        # theta 2.3e-3).  So: l1 to 1e-3 and theta to 1e-2 for every
+        # problem, to 1e-5 for the median one, and to 1e-3 over the stack.
+        # Every converged problem meets the bound on the float64 stack, and
+        # the two solves converge alike
+        phi = random_stack(seed, slices, m, n)
+        rng = np.random.default_rng([seed, 1])
+        theta = rng.permuted(np.broadcast_to(np.arange(1, n + 1) ** -1.5, (slices, n)), axis=1)
+        theta *= rng.choice((-1.0, 1.0), theta.shape)
+        y = np.matmul(phi, theta[:, :, None])[..., 0]
+        got = solve_l1_batch(phi, None, y, DEFAULT_SWEEP_SOLVER)
+        monkeypatch.setattr(solvers, "_FLOAT32_TOL", np.inf)
+        want = solve_l1_batch(phi, None, y, DEFAULT_SWEEP_SOLVER)
+        same = got.iterations == want.iterations
+        assert same.mean() >= 0.95
+        l1_got, l1_want = np.abs(got.theta).sum(axis=1), np.abs(want.theta).sum(axis=1)
+        l1_rel = np.abs(l1_got - l1_want) / l1_want
+        assert l1_rel[same].max() <= 1e-5 and l1_rel.max() <= 1e-3
+        rel = np.linalg.norm(got.theta - want.theta, axis=1) / np.linalg.norm(want.theta, axis=1)
+        assert np.median(rel) <= 1e-5 and rel.max() <= 1e-2
+        assert np.linalg.norm(got.theta - want.theta) <= 1e-3 * np.linalg.norm(want.theta)
+        assert np.array_equal(got.converged, want.converged) and got.converged.all()
+        ynorm = np.linalg.norm(y, axis=1)
+        resid = np.linalg.norm(np.matmul(phi, got.theta[:, :, None])[..., 0] - y, axis=1)
+        assert (resid <= DEFAULT_SWEEP_SOLVER.feasibility_tol * ynorm).all()
+        assert np.allclose(resid, got.residual, rtol=0, atol=1e-12 * ynorm.max())
+
+    def test_float32_stack_applies_in_float32(self):
+        # a float32 stack is kept, and its applies are float64 arrays that
+        # match the float64 stack's to float32 rounding, independent or joint
+        phi = random_stack(45, 5, 6, 20)
+        rng = np.random.default_rng(46)
+        for cross in (None, tr.DCT):
+            op64 = BatchedOperator(phi, cross)
+            op32 = BatchedOperator(phi.astype(np.float32), cross)
+            assert op32.phi.dtype == np.float32
+            theta = rng.normal(size=(op64.batch, op64.n))
+            w = rng.normal(size=(op64.batch, op64.m))
+            for got, want in ((op32.forward(theta), op64.forward(theta)), (op32.adjoint(w), op64.adjoint(w))):
+                assert got.dtype == np.float64
+                assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
 class TestAlgorithmChoice:
